@@ -171,12 +171,13 @@ struct PlacementScanFixture {
   // each server's observer), mirroring ClusterManager's member order.
   FleetView fleet;
 
-  explicit PlacementScanFixture(int n) {
+  // Each server hosts [min_vms, max_vms] 4-core VMs on 32 cores.
+  explicit PlacementScanFixture(int n, int min_vms = 0, int max_vms = 5) {
     Rng rng(5);
     for (int i = 0; i < n; ++i) {
       servers.push_back(std::make_unique<Server>(
           i, ResourceVector(32.0, 262144.0, 1000.0, 10000.0)));
-      const int vms = static_cast<int>(rng.UniformInt(0, 5));
+      const int vms = static_cast<int>(rng.UniformInt(min_vms, max_vms));
       for (int v = 0; v < vms; ++v) {
         servers.back()->AddVm(std::make_unique<Vm>(i * 10 + v, BenchVmSpec(v)));
       }
@@ -215,6 +216,26 @@ void BM_PlacementScanFleetView(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * n);
 }
 BENCHMARK(BM_PlacementScanFleetView)->Arg(1000)->Arg(10000)->Arg(100000);
+
+// The saturated case the block summaries target (DESIGN.md §12): every
+// server hosts 7 or 8 of its 8 VM slots, and a first-fit free-only probe
+// for 8 cores misses on every row. Each probe used to test every row; now it
+// tests one summary per 64-row block. Same items/s and ns/probe convention
+// as above.
+void BM_PlacementScanFleetViewSaturated(benchmark::State& state) {
+  const int n = static_cast<int>(state.range(0));
+  PlacementScanFixture fx(n, /*min_vms=*/7, /*max_vms=*/8);
+  Rng rng(7);
+  const ResourceVector demand(8.0, 16384.0, 50.0, 500.0);
+  for (auto _ : state) {
+    const Result<size_t> placed =
+        PlaceVmFleet(demand, fx.fleet, fx.rows, PlacementPolicy::kFirstFit, rng,
+                     AvailabilityMode::kFreeOnly);
+    benchmark::DoNotOptimize(placed.ok());
+  }
+  state.SetItemsProcessed(state.iterations() * n);
+}
+BENCHMARK(BM_PlacementScanFleetViewSaturated)->Arg(1000)->Arg(10000)->Arg(100000);
 
 void BM_ZipfHeadFraction(benchmark::State& state) {
   const int64_t n = state.range(0);

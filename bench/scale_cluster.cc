@@ -34,6 +34,7 @@
 #include <chrono>
 #include <cstdlib>
 #include <string>
+#include <thread>
 
 #include "bench/bench_util.h"
 #include "src/cluster/cluster_sim.h"
@@ -156,11 +157,13 @@ int RunCloudMode(int servers, int target_vms, int threads) {
   std::snprintf(buf, sizeof(buf),
                 "{\"bench\": \"scale_cloud\", \"points\": [{\"servers\": %d, "
                 "\"target_vms\": %d, \"vms\": %lld, \"events\": %lld, "
-                "\"threads\": %d, \"wall_s\": %.4f, \"events_per_s\": %.1f}]}",
+                "\"threads\": %d, \"nproc\": %u, \"wall_s\": %.4f, "
+                "\"events_per_s\": %.1f}]}",
                 point.servers, point.target_vms,
                 static_cast<long long>(point.vms),
                 static_cast<long long>(point.events), point.threads,
-                point.wall_s, point.events_per_s);
+                std::thread::hardware_concurrency(), point.wall_s,
+                point.events_per_s);
   std::printf("scale_cloud_json: %s\n", buf);
   return 0;
 }
@@ -201,10 +204,11 @@ int RunThreadSweep(int servers, int target_vms) {
         base_events_per_s > 0.0 ? point.events_per_s / base_events_per_s : 0.0;
     char buf[320];
     std::snprintf(buf, sizeof(buf),
-                  "%s{\"threads\": %d, \"servers\": %d, \"vms\": %lld, "
-                  "\"events\": %lld, \"wall_s\": %.4f, \"events_per_s\": %.1f, "
-                  "\"speedup_vs_1t\": %.2f}",
-                  first ? "" : ", ", point.threads, point.servers,
+                  "%s{\"threads\": %d, \"nproc\": %u, \"servers\": %d, "
+                  "\"vms\": %lld, \"events\": %lld, \"wall_s\": %.4f, "
+                  "\"events_per_s\": %.1f, \"speedup_vs_1t\": %.2f}",
+                  first ? "" : ", ", point.threads,
+                  std::thread::hardware_concurrency(), point.servers,
                   static_cast<long long>(point.vms),
                   static_cast<long long>(point.events), point.wall_s,
                   point.events_per_s, speedup);

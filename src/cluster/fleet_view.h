@@ -20,6 +20,18 @@
 // scans read only the flat arrays, never the Server objects, so shard
 // workers touch no lazily-refreshing caches through this path.
 //
+// Block summaries (DESIGN.md §12): rows are grouped into fixed 64-row
+// blocks by row id, and each block keeps, per availability mode and
+// dimension, the maximum of the exact double the scan tests for that row
+// (free, free + deflatable, or free + preemptible), with a count of the rows
+// attaining it. Refresh() folds each refreshed row into its block's maxima,
+// and recomputes the block once, after its dirty rows, when the last row
+// holding a maximum fell. Rounding is monotone, so a demand that exceeds a
+// block's maximum plus the scan's epsilon in any dimension fits no row of
+// the block, and the scan skips it without changing any outcome. A block
+// holding a NaN availability (which the per-row test treats as feasible)
+// has NaN maxima and is never skipped.
+//
 // Snapshots never serialize a FleetView: it is derived state, rebuilt from
 // the restored object graph (all rows start dirty), so the snapshot format
 // stays independent of this layout.
@@ -36,6 +48,18 @@
 
 namespace defl {
 
+// What counts as a server's availability for a given arrival:
+//   kFreeOnly            -- untouched resources only (no reclamation),
+//   kFreePlusDeflatable  -- free + what deflation can reclaim (low-priority
+//                           arrivals under deflation-based management),
+//   kFreePlusPreemptible -- free + everything low-priority VMs hold (high-
+//                           priority arrivals, which may displace them).
+enum class AvailabilityMode { kFreeOnly, kFreePlusDeflatable, kFreePlusPreemptible };
+inline constexpr int kNumAvailabilityModes = 3;
+
+// Per-dimension maxima of one block's availability under one mode.
+using BlockMax = std::array<double, kNumResources>;
+
 // One mirrored row materialized back into vectors, for tests and checks.
 struct FleetEntry {
   ResourceVector free;
@@ -47,6 +71,10 @@ struct FleetEntry {
 
 class FleetView : public ServerObserver {
  public:
+  // Rows per block summary; block b covers rows [b * kBlockRows,
+  // (b + 1) * kBlockRows), the last block possibly fewer.
+  static constexpr size_t kBlockRows = 64;
+
   FleetView() = default;
   ~FleetView() override;
 
@@ -79,7 +107,8 @@ class FleetView : public ServerObserver {
   }
   bool eligible(size_t row) const { return eligible_[row] != 0; }
 
-  // Re-reads every dirty row from its Server in ascending row order, then
+  // Re-reads every dirty row from its Server in ascending row order,
+  // brings the summaries of the blocks those rows fall in up to date, then
   // clears the dirty set. O(1) when nothing is dirty. Must run on the
   // coordinator thread before any scan consumes the columns.
   void Refresh();
@@ -99,6 +128,13 @@ class FleetView : public ServerObserver {
     return nominal_[static_cast<size_t>(k)].data();
   }
 
+  // Block summaries under `mode`, indexed by block (row / kBlockRows);
+  // num_blocks() entries, coherent after Refresh().
+  size_t num_blocks() const { return (count_ + kBlockRows - 1) / kBlockRows; }
+  const BlockMax* block_max(AvailabilityMode mode) const {
+    return block_max_[static_cast<size_t>(mode)].data();
+  }
+
   // Row materialized back into vectors (no refresh; callers wanting
   // coherent values call Refresh() first).
   FleetEntry Entry(size_t row) const;
@@ -107,8 +143,33 @@ class FleetView : public ServerObserver {
   // server's accessors right now. Property tests call this after Refresh().
   bool RowConsistent(size_t row) const;
 
+  // True when block `block`'s summary equals a full recompute from the
+  // columns (maxima bitwise, holder counts exactly). Refresh() checks every
+  // block with it in DEFL_CHECK_ACCOUNTING builds.
+  bool BlockConsistent(size_t block) const;
+
  private:
   void RefreshRow(size_t row);
+  // How many of a block's rows attain each of its maxima under one mode, so
+  // a refresh can tell when the last row holding a maximum fell below it.
+  using BlockHolders = std::array<uint8_t, kNumResources>;
+  struct BlockSummary {
+    // The largest availability per mode and dimension, -0.0 normalized to
+    // +0.0 so the bits do not depend on fold order; all NaN when any of the
+    // block's availabilities is NaN (and then no holders).
+    BlockMax max[kNumAvailabilityModes];
+    BlockHolders holders[kNumAvailabilityModes];
+  };
+
+  // Full recompute of block `block`'s summary from the columns.
+  BlockSummary ComputeBlockSummary(size_t block) const;
+  void RefreshBlock(size_t block);
+  // Row `row`'s availability under every mode, as the scan computes it.
+  void ReadAvailability(size_t row, BlockMax (&out)[kNumAvailabilityModes]) const;
+  // Folds row `row`'s refresh (from availabilities `before`) into its
+  // block's summary in place. Returns false, leaving the block to be
+  // recomputed, when that cannot be done exactly.
+  bool FoldRowIntoBlock(size_t row, const BlockMax (&before)[kNumAvailabilityModes]);
 
   const std::vector<std::unique_ptr<Server>>* servers_ = nullptr;
   size_t count_ = 0;
@@ -119,6 +180,9 @@ class FleetView : public ServerObserver {
   std::array<std::vector<double>, kNumResources> preemptible_;
   std::array<std::vector<double>, kNumResources> nominal_;
   std::vector<uint8_t> eligible_;
+  // One BlockMax and one BlockHolders per block, per availability mode.
+  std::array<std::vector<BlockMax>, kNumAvailabilityModes> block_max_;
+  std::array<std::vector<BlockHolders>, kNumAvailabilityModes> block_holders_;
 
   // Dirty tracking: a bitmap for O(1) dedup plus an insertion-order list of
   // dirty rows. Refresh() sorts the list (or sweeps the bitmap when most

@@ -2,6 +2,10 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdlib>
+#include <functional>
+
+#include "src/common/logging.h"
 
 namespace defl {
 
@@ -82,9 +86,6 @@ ChunkScan ScanRange(const ResourceVector& demand, const std::vector<Server*>& se
   return out;
 }
 
-// Whole-candidate-set scan, sharded across `pool` when profitable. The merge
-// folds chunks in ascending chunk order on the calling thread, but the
-// tie-breaks make the outcome independent of that order too.
 // Folds per-chunk results into one. Ascending chunk order on the calling
 // thread, but the tie-breaks make the outcome independent of that order.
 ChunkScan MergeChunks(const std::vector<ChunkScan>& partial) {
@@ -135,15 +136,18 @@ ChunkScan ScanAll(const ResourceVector& demand, const std::vector<Server*>& serv
 // --- Structure-of-arrays scan (FleetView) ---
 
 // The two column sets whose elementwise sum is a row's availability under
-// one mode. `extra` is null for kFreeOnly; the scan loop is specialized on
-// that so the common path stays branch-free per candidate.
+// one mode, plus that mode's block summaries. `extra` is null for kFreeOnly;
+// the scan loop is specialized on that so the common path stays branch-free
+// per candidate.
 struct FleetCols {
   const double* base[kNumResources];
   const double* extra[kNumResources];
+  const BlockMax* block_max;
 };
 
 FleetCols ModeColumns(const FleetView& fleet, AvailabilityMode mode) {
   FleetCols cols;
+  cols.block_max = fleet.block_max(mode);
   for (const ResourceKind kind : kAllResources) {
     const auto k = static_cast<size_t>(kind);
     cols.base[k] = fleet.free_col(kind);
@@ -170,14 +174,46 @@ FleetCols ModeColumns(const FleetView& fleet, AvailabilityMode mode) {
 // dimension-order accumulation and the degenerate-denominator guard. The
 // loop reads only contiguous arrays: no pointer-chasing, no virtual calls,
 // and the compiler can vectorize the per-dimension math.
+//
+// Before the rows of a block, the demand is tested against the block's
+// summary with the same compare. A block the demand exceeds in any dimension
+// holds no feasible row (fl(a + eps) <= fl(max + eps) for every a <= max,
+// because rounding is monotone), so the run of candidates in that block is
+// skipped. The rows that are visited see exactly the operations above.
 template <bool kHasExtra>
 ChunkScan ScanFleetRangeImpl(const FleetCols& cols, const double (&d)[kNumResources],
                              double demand_norm, const std::vector<uint32_t>& candidates,
                              bool need_fitness, size_t begin, size_t end) {
   constexpr double kEps = 1e-9;  // matches ResourceVector::AllLeq's default
   ChunkScan out;
+  constexpr auto kBlockRows = static_cast<uint32_t>(FleetView::kBlockRows);
+  uint32_t checked_block = UINT32_MAX;
   for (size_t i = begin; i < end; ++i) {
-    const size_t row = candidates[i];
+    const uint32_t row = candidates[i];
+    const uint32_t block = row / kBlockRows;
+    if (block != checked_block) {
+      checked_block = block;
+      const BlockMax& max = cols.block_max[block];
+      bool block_feasible = true;
+      for (int k = 0; k < kNumResources; ++k) {
+        block_feasible &= !(d[k] > max[k] + kEps);
+      }
+      if (!block_feasible) {
+        // Skip to the last candidate in this block. Candidates ascend
+        // strictly, so the block's run ends within block_end - row
+        // positions of i; when the last of those is still in the block, so
+        // is every one before it (the usual case: no excluded row).
+        const uint32_t block_end = (block + 1) * kBlockRows;
+        const size_t span_end = std::min<size_t>(end, i + (block_end - row));
+        const auto first = candidates.begin() + static_cast<std::ptrdiff_t>(i);
+        const auto last = candidates.begin() + static_cast<std::ptrdiff_t>(span_end);
+        i = candidates[span_end - 1] < block_end
+                ? span_end - 1
+                : static_cast<size_t>(std::lower_bound(first, last, block_end) -
+                                      candidates.begin()) - 1;
+        continue;
+      }
+    }
     double a[kNumResources];
     bool feasible = true;
     for (int k = 0; k < kNumResources; ++k) {
@@ -358,6 +394,13 @@ Result<size_t> PlaceVmFleet(const ResourceVector& demand, FleetView& fleet,
   // Bring every dirty row coherent before any column is read; O(1) when
   // nothing mutated since the last probe.
   fleet.Refresh();
+#ifdef DEFL_CHECK_ACCOUNTING
+  if (std::adjacent_find(candidates.begin(), candidates.end(),
+                         std::greater_equal<>()) != candidates.end()) {
+    DEFL_LOG(kError) << "PlaceVmFleet: candidates are not strictly ascending";
+    std::abort();
+  }
+#endif
   switch (policy) {
     case PlacementPolicy::kFirstFit: {
       const ChunkScan scan =

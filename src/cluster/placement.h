@@ -22,14 +22,6 @@ enum class PlacementPolicy { kBestFit, kFirstFit, kTwoChoices };
 
 const char* PlacementPolicyName(PlacementPolicy policy);
 
-// What counts as a server's availability for a given arrival:
-//   kFreeOnly            -- untouched resources only (no reclamation),
-//   kFreePlusDeflatable  -- free + what deflation can reclaim (low-priority
-//                           arrivals under deflation-based management),
-//   kFreePlusPreemptible -- free + everything low-priority VMs hold (high-
-//                           priority arrivals, which may displace them).
-enum class AvailabilityMode { kFreeOnly, kFreePlusDeflatable, kFreePlusPreemptible };
-
 // fitness(D, A) = (A . D) / (|A| |D|); higher is better.
 double PlacementFitness(const ResourceVector& demand, const ResourceVector& availability);
 
@@ -59,14 +51,17 @@ ResourceVector FleetAvailability(const FleetView& fleet, size_t row,
                                  AvailabilityMode mode);
 
 // Structure-of-arrays variant of PlaceVm: scans the FleetView's flat
-// columns instead of Server objects. `candidates` lists the eligible rows
-// (ascending for the canonical placement order); the returned index is a
-// POSITION in `candidates`, mirroring PlaceVm's index-into-`servers`
-// contract. Refreshes the view first (O(1) when clean), so the decision --
-// feasibility, fitness, every tie-break, and the 2-choices RNG draw
-// sequence -- is bit-identical to PlaceVm over the equivalent Server list.
-// The sharded scan chunks candidate index ranges; workers read only the
-// contiguous columns, never the Server objects.
+// columns instead of Server objects. `candidates` lists the eligible rows in
+// strictly ascending order (the canonical placement order; the block skip
+// below relies on it); the returned index is a POSITION in `candidates`,
+// mirroring PlaceVm's index-into-`servers` contract. Refreshes the view
+// first (O(1) when clean), so the decision -- feasibility, fitness, every
+// tie-break, and the 2-choices RNG draw sequence -- is bit-identical to
+// PlaceVm over the equivalent Server list. Full scans test each 64-row
+// block's summary before its rows and skip blocks the demand exceeds; the
+// skip is exact, so it changes no decision. The sharded scan chunks
+// candidate index ranges; workers read only the contiguous columns, never
+// the Server objects.
 Result<size_t> PlaceVmFleet(const ResourceVector& demand, FleetView& fleet,
                             const std::vector<uint32_t>& candidates,
                             PlacementPolicy policy, Rng& rng,

@@ -199,6 +199,69 @@ TEST_F(PlacementFixture, FleetScanMatchesObjectScanOnDegenerateDemand) {
   }
 }
 
+// A fleet for the block-summary tests: `n` 16-core servers bound to a
+// FleetView, with rows [0, full_rows) filled by a rigid VM.
+struct BlockFleet {
+  std::vector<std::unique_ptr<Server>> servers;
+  FleetView fleet;  // after servers: detaches itself before they go
+
+  BlockFleet(int n, int full_rows, int nan_row = -1) {
+    for (int i = 0; i < n; ++i) {
+      const double cpus = i == nan_row ? std::nan("") : 16.0;
+      servers.push_back(std::make_unique<Server>(i, ResourceVector(cpus, 65536.0)));
+      if (i < full_rows) {
+        servers.back()->AddVm(MakeVm(i + 1, 16.0, 65536.0, VmPriority::kHigh));
+      }
+    }
+    fleet.Bind(servers);
+  }
+};
+
+TEST(PlacementBlockTest, SkipCoversOnlyTheInfeasibleBlock) {
+  // Block 0 (rows 0-63) is full, block 1 is empty. Dropping rows 10 and 63
+  // from the candidates shortens block 0's run, so the first feasible row
+  // (64) sits inside the 64 positions that start at row 0.
+  BlockFleet fx(130, /*full_rows=*/64);
+  std::vector<uint32_t> rows;
+  for (uint32_t row = 0; row < 130; ++row) {
+    if (row != 10 && row != 63) {
+      rows.push_back(row);
+    }
+  }
+  ThreadPool pool(3);
+  for (ThreadPool* p : {static_cast<ThreadPool*>(nullptr), &pool}) {
+    for (const PlacementPolicy policy :
+         {PlacementPolicy::kBestFit, PlacementPolicy::kFirstFit}) {
+      Rng rng(1);
+      const Result<size_t> pick =
+          PlaceVmFleet(ResourceVector(4.0, 16384.0), fx.fleet, rows, policy, rng,
+                       AvailabilityMode::kFreeOnly, p);
+      ASSERT_TRUE(pick.ok()) << PlacementPolicyName(policy);
+      EXPECT_EQ(rows[pick.value()], 64u) << PlacementPolicyName(policy);
+    }
+  }
+  EXPECT_EQ(fx.fleet.block_max(AvailabilityMode::kFreeOnly)[0][0], 0.0);
+}
+
+TEST(PlacementBlockTest, NanRowKeepsItsBlockScanned) {
+  // Row 66's free CPU is NaN, which the per-row test treats as feasible:
+  // its block's maximum must be NaN so the 32-core demand, which every
+  // other row fails, still reaches it.
+  BlockFleet fx(70, /*full_rows=*/0, /*nan_row=*/66);
+  std::vector<uint32_t> rows;
+  for (uint32_t row = 0; row < 70; ++row) {
+    rows.push_back(row);
+  }
+  Rng rng(1);
+  const Result<size_t> pick =
+      PlaceVmFleet(ResourceVector(32.0, 1024.0), fx.fleet, rows,
+                   PlacementPolicy::kFirstFit, rng, AvailabilityMode::kFreeOnly);
+  ASSERT_TRUE(pick.ok());
+  EXPECT_EQ(pick.value(), 66u);
+  EXPECT_EQ(fx.fleet.block_max(AvailabilityMode::kFreeOnly)[0][0], 16.0);
+  EXPECT_TRUE(std::isnan(fx.fleet.block_max(AvailabilityMode::kFreeOnly)[1][0]));
+}
+
 TEST(PlacementPolicyTest, Names) {
   EXPECT_STREQ(PlacementPolicyName(PlacementPolicy::kBestFit), "best-fit");
   EXPECT_STREQ(PlacementPolicyName(PlacementPolicy::kFirstFit), "first-fit");

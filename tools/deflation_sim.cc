@@ -25,6 +25,7 @@
 #include <string>
 
 #include "src/cluster/durable_session.h"
+#include "src/cluster/placement.h"
 #include "src/cluster/sim_session.h"
 #include "src/cluster/trace_io.h"
 #include "src/common/atomic_file.h"
@@ -105,18 +106,6 @@ int Fail(const std::string& message) {
 
 const char* StrategyName(ReclamationStrategy strategy) {
   return strategy == ReclamationStrategy::kDeflation ? "deflation" : "preemption";
-}
-
-const char* PlacementName(PlacementPolicy policy) {
-  switch (policy) {
-    case PlacementPolicy::kBestFit:
-      return "best-fit";
-    case PlacementPolicy::kFirstFit:
-      return "first-fit";
-    case PlacementPolicy::kTwoChoices:
-      return "2-choices";
-  }
-  return "?";
 }
 
 // Translates the resolved workload spec plus the run-control flags into a
@@ -256,7 +245,8 @@ int WriteOutputsAndReport(const Options& opt, const SimCommonOptions& common,
   std::printf("\n=== deflation_sim: %d servers x %.0fc/%.0fGB, %s, %s ===\n",
               cfg.num_servers, cfg.server_capacity[ResourceKind::kCpu],
               cfg.server_capacity[ResourceKind::kMemory] / 1024.0,
-              StrategyName(cfg.cluster.strategy), PlacementName(cfg.cluster.placement));
+              StrategyName(cfg.cluster.strategy),
+              PlacementPolicyName(cfg.cluster.placement));
   std::printf("VMs launched        %ld (%ld transient), rejected %ld (%.1f%%)\n",
               r.counters.launched, r.counters.launched_low_priority,
               r.counters.rejected, 100.0 * r.rejection_rate);
