@@ -10,8 +10,11 @@
 #include <cstdlib>
 #include <memory>
 #include <new>
+#include <string>
+#include <vector>
 
 #include "src/cluster/placement.h"
+#include "src/cluster/sim_session.h"
 #include "src/common/rng.h"
 #include "src/core/local_controller.h"
 #include "src/sim/simulator.h"
@@ -378,6 +381,93 @@ void BM_SimulatorScheduleCancel(benchmark::State& state) {
       events > 0 ? static_cast<double>(allocs) / static_cast<double>(events) : 0.0;
 }
 BENCHMARK(BM_SimulatorScheduleCancel);
+
+// --- Snapshot restore and the shared arrival trace (DESIGN.md §15) --------
+// The what-if service's per-query cost is one RestoreView off a shared blob.
+// The base: 100 32-core servers serving an interactive mix over diurnal
+// arrivals at 1.8x load, snapshotted at 6 h of a 12 h horizon (its elided
+// trace holds ~57k arrivals). Arg 0 restores without a trace hint (the
+// generator reruns and its output is checksummed); Arg 1 hands in the trace
+// a first restore verified, as every what-if child does.
+
+ClusterSimConfig InteractiveBaseConfig() {
+  ClusterSimConfig c;
+  c.num_servers = 100;
+  c.server_capacity = ResourceVector(32.0, 256.0 * 1024.0, 1000.0, 10000.0);
+  c.trace.duration_s = 12.0 * 3600.0;
+  c.trace.max_lifetime_s = 8.0 * 3600.0;
+  c.trace.low_priority_fraction = 0.6;
+  c.trace.seed = 11;
+  c.trace = WithTargetLoad(c.trace, 1.8, c.num_servers, c.server_capacity);
+  c.arrivals.enabled = true;
+  c.arrivals.diurnal_amplitude = 0.6;
+  c.arrivals.diurnal_period_s = 24.0 * 3600.0;
+  c.arrivals.seed = 12;
+  c.interactive.enabled = true;
+  c.interactive.fraction = 0.45;
+  c.interactive.seed = 13;
+  c.interactive.slo_p99_ms = 80.0;
+  c.interactive.control_period_s = 300.0;
+  c.interactive.rate_rps_per_cpu = 60.0;
+  c.interactive.rate_amplitude = 0.6;
+  c.interactive.rate_period_s = 24.0 * 3600.0;
+  c.cluster.placement = PlacementPolicy::kTwoChoices;
+  c.reinflate_period_s = 300.0;
+  return c;
+}
+
+const std::string& InteractiveBaseSnapshot() {
+  static const std::string blob = [] {
+    Result<SimSession> session = SimSession::Open(InteractiveBaseConfig());
+    if (!session.ok()) {
+      std::abort();
+    }
+    session.value().StepUntil(6.0 * 3600.0);
+    return session.value().SnapshotBytes();
+  }();
+  return blob;
+}
+
+void BM_SnapshotRestoreView(benchmark::State& state) {
+  const std::string& blob = InteractiveBaseSnapshot();
+  SimSession::RestoreOptions options;
+  options.threads = 1;
+  if (state.range(0) != 0) {
+    Result<SimSession> probe = SimSession::RestoreView(blob, options);
+    if (!probe.ok()) {
+      state.SkipWithError(probe.error().c_str());
+      return;
+    }
+    options.trace = probe.value().trace();
+  }
+  for (auto _ : state) {
+    TelemetryContext telemetry;
+    options.telemetry = &telemetry;
+    Result<SimSession> child = SimSession::RestoreView(blob, options);
+    if (!child.ok()) {
+      state.SkipWithError(child.error().c_str());
+      return;
+    }
+    benchmark::DoNotOptimize(child.value().now());
+  }
+  state.counters["snapshot_bytes"] = static_cast<double>(blob.size());
+}
+BENCHMARK(BM_SnapshotRestoreView)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
+
+void BM_TraceFnv(benchmark::State& state) {
+  Result<SimSession> session = SimSession::Open(InteractiveBaseConfig());
+  if (!session.ok()) {
+    state.SkipWithError(session.error().c_str());
+    return;
+  }
+  const std::vector<TraceEvent>& events = session.value().trace()->events;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(TraceFnv(events));
+  }
+  state.counters["events"] = static_cast<double>(events.size());
+  state.SetItemsProcessed(state.iterations() * static_cast<int64_t>(events.size()));
+}
+BENCHMARK(BM_TraceFnv)->Unit(benchmark::kMillisecond);
 
 }  // namespace
 }  // namespace defl

@@ -4,10 +4,12 @@
 #include <array>
 #include <cassert>
 #include <cmath>
+#include <cstdlib>
 #include <memory>
 #include <utility>
 
 #include "src/cluster/predictor.h"
+#include "src/common/logging.h"
 #include "src/common/rng.h"
 #include "src/common/stats.h"
 #include "src/faults/fault_injector.h"
@@ -63,7 +65,10 @@ struct LaterEntry {
   }
 };
 
-void WriteResourceVector(SnapshotWriter& w, const ResourceVector& v) {
+// The Write* serializers are templated over the sink: a SnapshotWriter
+// appends the bytes, a SnapshotDigest only hashes them (TraceFnv).
+template <typename Sink>
+void WriteResourceVector(Sink& w, const ResourceVector& v) {
   for (const ResourceKind kind : kAllResources) {
     w.WriteF64(v[kind]);
   }
@@ -77,7 +82,8 @@ ResourceVector ReadResourceVector(SnapshotReader& r) {
   return v;
 }
 
-void WriteVmSpec(SnapshotWriter& w, const VmSpec& spec) {
+template <typename Sink>
+void WriteVmSpec(Sink& w, const VmSpec& spec) {
   w.WriteString(spec.name);
   WriteResourceVector(w, spec.size);
   w.WriteU8(static_cast<uint8_t>(spec.priority));
@@ -98,19 +104,26 @@ VmSpec ReadVmSpec(SnapshotReader& r) {
   return spec;
 }
 
-// Checksum over the trace's serialized form, computed once per session (the
-// trace is immutable). Elided-trace snapshots store it so a restore can
-// prove the regenerated arrivals are the ones the run actually used.
-uint64_t TraceFnv(const std::vector<TraceEvent>& trace) {
-  SnapshotWriter w;
-  for (const TraceEvent& event : trace) {
-    w.WriteF64(event.arrival_s);
-    w.WriteF64(event.lifetime_s);
-    WriteVmSpec(w, event.spec);
-  }
-  const std::string bytes = w.Finish();
-  return SnapshotFnv1a64(bytes.data(), bytes.size());
+template <typename Sink>
+void WriteTraceEvent(Sink& w, const TraceEvent& event) {
+  w.WriteF64(event.arrival_s);
+  w.WriteF64(event.lifetime_s);
+  WriteVmSpec(w, event.spec);
 }
+
+}  // namespace
+
+// Computed once per materialised trace; elided-trace snapshots store it so a
+// restore can prove the arrivals it uses are the ones the run actually used.
+uint64_t TraceFnv(const std::vector<TraceEvent>& trace) {
+  SnapshotDigest digest;
+  for (const TraceEvent& event : trace) {
+    WriteTraceEvent(digest, event);
+  }
+  return digest.Finish();
+}
+
+namespace {
 
 // --- Interactive-serving workload mix (ROADMAP item 3) -------------------
 // A seeded fraction of low-priority arrivals are re-tagged as web VMs that
@@ -131,17 +144,13 @@ bool IsInteractiveSpec(const VmSpec& spec) {
 // restore. Events already named "web*" (explicit replay traces) count as
 // interactive without re-tagging. Arrival times and lifetimes are untouched,
 // so pending queue entries indexing the trace stay valid across a re-tag.
-int64_t ApplyInteractiveMix(std::vector<TraceEvent>& trace,
-                            const InteractiveSloConfig& mix) {
+void ApplyInteractiveMix(std::vector<TraceEvent>& trace,
+                         const InteractiveSloConfig& mix) {
   Rng rng(mix.seed);
-  int64_t tagged = 0;
   for (size_t i = 0; i < trace.size(); ++i) {
     TraceEvent& event = trace[i];
-    if (IsInteractiveSpec(event.spec)) {
-      ++tagged;
-      continue;
-    }
-    if (event.spec.priority != VmPriority::kLow) {
+    if (IsInteractiveSpec(event.spec) ||
+        event.spec.priority != VmPriority::kLow) {
       continue;
     }
     if (!rng.Chance(mix.fraction)) {
@@ -149,9 +158,7 @@ int64_t ApplyInteractiveMix(std::vector<TraceEvent>& trace,
     }
     event.spec.name = "web-" + std::to_string(i);
     event.spec.min_size = event.spec.size * 0.25;
-    ++tagged;
   }
-  return tagged;
 }
 
 int64_t CountInteractive(const std::vector<TraceEvent>& trace) {
@@ -162,6 +169,32 @@ int64_t CountInteractive(const std::vector<TraceEvent>& trace) {
     }
   }
   return tagged;
+}
+
+// Freezes materialised events into a shareable trace; the checksum and the
+// interactive count are computed here, once.
+std::shared_ptr<const ArrivalTrace> FreezeTrace(std::vector<TraceEvent> events) {
+  auto trace = std::make_shared<ArrivalTrace>();
+  trace->events = std::move(events);
+  trace->fnv = TraceFnv(trace->events);
+  trace->interactive_tagged = CountInteractive(trace->events);
+  return trace;
+}
+
+// Materialises a config-generated trace: the arrival generator the config
+// names, then the interactive mix when enabled (checksummed after tagging).
+// Open, every restore that cannot adopt a hint, and the `slo` re-tag all go
+// through here, so there is one definition of "the trace this config
+// generates".
+std::shared_ptr<const ArrivalTrace> GenerateArrivalTrace(
+    const ClusterSimConfig& config) {
+  std::vector<TraceEvent> events =
+      config.arrivals.enabled ? GenerateDiurnalTrace(config.trace, config.arrivals)
+                              : GenerateTrace(config.trace);
+  if (config.interactive.enabled) {
+    ApplyInteractiveMix(events, config.interactive);
+  }
+  return FreezeTrace(std::move(events));
 }
 
 // Stateless per-VM phase offset for the diurnal request-rate curve
@@ -401,13 +434,14 @@ struct SimSession::State {
   // serialized) from the plan on both Open and Restore -- ServerEventsFor is
   // a pure function of plan + server count.
   std::vector<FaultInjector::ServerEvent> fault_events;
-  // The materialized arrival trace; VmId == index. Inlined into snapshots
-  // only when it was handed in explicitly -- a config-generated trace is
-  // regenerated on restore and only its length + checksum are serialized,
-  // keeping checkpoint I/O proportional to live state, not trace length.
-  std::vector<TraceEvent> trace;
+  // The materialized arrival trace; VmId == index. Immutable and possibly
+  // shared with other sessions restored off the same snapshot. Inlined into
+  // snapshots only when it was handed in explicitly -- a config-generated
+  // trace is regenerated (or adopted, verified) on restore and only its
+  // length + checksum are serialized, keeping checkpoint I/O proportional to
+  // live state, not trace length.
+  std::shared_ptr<const ArrivalTrace> trace;
   bool trace_generated = false;
-  uint64_t trace_fnv = 0;
   EwmaPredictor predictor;
 
   SeriesHandle util_series;
@@ -420,8 +454,7 @@ struct SimSession::State {
   DistributionHandle allocation_quality;
   // Interactive-serving metrics: registered only when interactive.enabled,
   // so the registry layout (and every golden digest) of the existing
-  // scenarios is unchanged. Derived (not serialized): interactive_tagged is
-  // recounted from the materialized trace on restore.
+  // scenarios is unchanged.
   CounterHandle slo_checks;
   CounterHandle slo_violations;
   CounterHandle slo_reinflates;
@@ -429,7 +462,6 @@ struct SimSession::State {
   DistributionHandle slo_p99_dist;
   SeriesHandle slo_offered_series;
   SeriesHandle slo_p99_series;
-  int64_t interactive_tagged = 0;
 
   double now = 0.0;
   int64_t next_seq = 0;
@@ -475,7 +507,7 @@ struct SimSession::State {
         manager->MarkHealthy(entry.payload);
         break;
       case SimEventKind::kVmArrival: {
-        const TraceEvent& event = trace[static_cast<size_t>(entry.payload)];
+        const TraceEvent& event = trace->events[static_cast<size_t>(entry.payload)];
         auto vm = std::make_unique<Vm>(entry.payload, event.spec);
         const Result<ServerId> placed = manager->LaunchVm(std::move(vm));
         if (placed.ok()) {
@@ -799,25 +831,13 @@ Result<SimSession> SimSession::Open(const ClusterSimConfig& config) {
   }
   std::unique_ptr<State> state = BuildCore(config, nullptr);
   if (!config.explicit_trace.empty()) {
-    state->trace = config.explicit_trace;
     // An explicit trace is authoritative: VMs it already names "web*" are
     // interactive, nothing is re-tagged.
-    if (config.interactive.enabled) {
-      state->interactive_tagged = CountInteractive(state->trace);
-    }
+    state->trace = FreezeTrace(config.explicit_trace);
   } else {
-    state->trace = config.arrivals.enabled
-                       ? GenerateDiurnalTrace(config.trace, config.arrivals)
-                       : GenerateTrace(config.trace);
+    state->trace = GenerateArrivalTrace(config);
     state->trace_generated = true;
-    if (config.interactive.enabled) {
-      state->interactive_tagged =
-          ApplyInteractiveMix(state->trace, config.interactive);
-    }
   }
-  // Checksummed after tagging: a restore regenerates and re-tags with the
-  // snapshotted mix before verifying.
-  state->trace_fnv = TraceFnv(state->trace);
 
   // Schedule the whole program in the exact order the batch runner did:
   // fault timeline, then trace arrivals, then the sampling tick, then the
@@ -827,8 +847,9 @@ Result<SimSession> SimSession::Open(const ClusterSimConfig& config) {
     state->Push(state->fault_events[i].time_s, SimEventKind::kFaultEvent,
                 static_cast<int64_t>(i));
   }
-  for (size_t i = 0; i < state->trace.size(); ++i) {
-    state->Push(state->trace[i].arrival_s, SimEventKind::kVmArrival,
+  const std::vector<TraceEvent>& arrivals = state->trace->events;
+  for (size_t i = 0; i < arrivals.size(); ++i) {
+    state->Push(arrivals[i].arrival_s, SimEventKind::kVmArrival,
                 static_cast<int64_t>(i));
   }
   state->Push(config.sample_period_s, SimEventKind::kSampleTick, 0);
@@ -937,7 +958,7 @@ ClusterSimResult SimSession::Finish() {
   result.server_crashes = result.counters.server_crashes;
   result.server_recoveries = result.counters.server_recoveries;
   if (s.config.interactive.enabled) {
-    result.interactive_vms = s.interactive_tagged;
+    result.interactive_vms = s.trace->interactive_tagged;
     const int64_t checks = registry.counter(s.slo_checks);
     const int64_t violations = registry.counter(s.slo_violations);
     result.slo_violation_rate =
@@ -954,6 +975,9 @@ ClusterSimResult SimSession::Finish() {
 
 TelemetryContext& SimSession::telemetry() { return *state_->telemetry; }
 const ClusterSimConfig& SimSession::config() const { return state_->config; }
+const std::shared_ptr<const ArrivalTrace>& SimSession::trace() const {
+  return state_->trace;
+}
 ClusterManager& SimSession::manager() { return *state_->manager; }
 
 std::string SimSession::SnapshotBytes() const {
@@ -964,16 +988,15 @@ std::string SimSession::SnapshotBytes() const {
 
   // A config-generated trace is deterministic from the TraceConfig just
   // serialized, so only its length and checksum go into the snapshot; the
-  // restore side regenerates and verifies. Explicit traces (replay files,
-  // bench harnesses) have no generator to rerun and are inlined in full.
+  // restore side regenerates and verifies (or adopts a hint that matches
+  // both). Explicit traces (replay files, bench harnesses) have no
+  // generator to rerun and are inlined in full.
   w.WriteBool(s.trace_generated);
-  w.WriteU64(s.trace.size());
-  w.WriteU64(s.trace_fnv);
+  w.WriteU64(s.trace->events.size());
+  w.WriteU64(s.trace->fnv);
   if (!s.trace_generated) {
-    for (const TraceEvent& event : s.trace) {
-      w.WriteF64(event.arrival_s);
-      w.WriteF64(event.lifetime_s);
-      WriteVmSpec(w, event.spec);
+    for (const TraceEvent& event : s.trace->events) {
+      WriteTraceEvent(w, event);
     }
   }
 
@@ -1178,48 +1201,59 @@ Result<SimSession> SimSession::RestoreView(std::string_view bytes,
 
   const bool trace_generated = r.ReadBool();
   if (trace_generated) {
-    // The trace was elided: rerun the generator the original session used
-    // and prove the result is bit-identical via the stored length/checksum.
-    // Pending arrival events index into this list, so a generator that
-    // drifted across builds must fail the restore, not corrupt it.
+    // The trace was elided: the session must run on exactly the arrivals the
+    // original session used, proven by the stored length/checksum. Pending
+    // arrival events index into this list, so a generator that drifted
+    // across builds must fail the restore, not corrupt it. A hinted trace
+    // that passes the same test is adopted as is; anything else reruns the
+    // generator and verifies its output.
     const uint64_t trace_size = r.ReadU64();
     const uint64_t trace_fnv = r.ReadU64();
     if (r.ok()) {
-      s.trace = s.config.arrivals.enabled
-                    ? GenerateDiurnalTrace(s.config.trace, s.config.arrivals)
-                    : GenerateTrace(s.config.trace);
       s.trace_generated = true;
-      if (s.config.interactive.enabled) {
-        s.interactive_tagged = ApplyInteractiveMix(s.trace, s.config.interactive);
-      }
-      s.trace_fnv = TraceFnv(s.trace);
-      if (s.trace.size() != trace_size || s.trace_fnv != trace_fnv) {
-        r.Fail("snapshot's elided arrival trace cannot be regenerated: the "
-               "generator produced " +
-               std::to_string(s.trace.size()) + " arrivals, snapshot recorded " +
-               std::to_string(trace_size) + " (checksum " +
-               (s.trace_fnv == trace_fnv ? "matches" : "differs") + ")");
+      const std::shared_ptr<const ArrivalTrace>& hint = options.trace;
+      if (hint != nullptr && hint->events.size() == trace_size &&
+          hint->fnv == trace_fnv) {
+#ifdef DEFL_CHECK_ACCOUNTING
+        // The hint's checksum is trusted, not recomputed: re-prove it here so
+        // an ArrivalTrace mutated after freezing (or built with a stale fnv)
+        // cannot pass for the snapshot's trace.
+        if (TraceFnv(hint->events) != hint->fnv) {
+          DEFL_LOG(kError) << "adopted arrival trace: events no longer match "
+                              "their checksum";
+          std::abort();
+        }
+#endif
+        s.trace = hint;
+      } else {
+        s.trace = GenerateArrivalTrace(s.config);
+        if (s.trace->events.size() != trace_size || s.trace->fnv != trace_fnv) {
+          r.Fail("snapshot's elided arrival trace cannot be regenerated: the "
+                 "generator produced " +
+                 std::to_string(s.trace->events.size()) +
+                 " arrivals, snapshot recorded " + std::to_string(trace_size) +
+                 " (checksum " +
+                 (s.trace->fnv == trace_fnv ? "matches" : "differs") + ")");
+        }
       }
     }
   } else {
     const uint64_t trace_size = ReadCount(r, 8 * 2, "trace event");
     const uint64_t trace_fnv = r.ReadU64();
-    s.trace.reserve(static_cast<size_t>(trace_size));
+    std::vector<TraceEvent> events;
+    events.reserve(static_cast<size_t>(trace_size));
     for (uint64_t i = 0; r.ok() && i < trace_size; ++i) {
       TraceEvent event;
       event.arrival_s = r.ReadF64();
       event.lifetime_s = r.ReadF64();
       event.spec = ReadVmSpec(r);
-      s.trace.push_back(std::move(event));
+      events.push_back(std::move(event));
     }
     // An explicit trace must never be re-sampled: pending arrival events
     // index into exactly this materialized list.
-    s.config.explicit_trace = s.trace;
-    if (s.config.interactive.enabled) {
-      s.interactive_tagged = CountInteractive(s.trace);
-    }
-    s.trace_fnv = TraceFnv(s.trace);
-    if (r.ok() && s.trace_fnv != trace_fnv) {
+    s.config.explicit_trace = events;
+    s.trace = FreezeTrace(std::move(events));
+    if (r.ok() && s.trace->fnv != trace_fnv) {
       r.Fail("snapshot's inlined arrival trace fails its checksum");
     }
   }
@@ -1256,7 +1290,7 @@ Result<SimSession> SimSession::RestoreView(std::string_view bytes,
       case SimEventKind::kVmArrival:
       case SimEventKind::kVmCompletion:
         payload_ok = entry.payload >= 0 &&
-                     static_cast<size_t>(entry.payload) < s.trace.size();
+                     static_cast<size_t>(entry.payload) < s.trace->events.size();
         break;
       case SimEventKind::kSloTick:
         // An SLO tick without the interactive config is inconsistent (its
@@ -1281,9 +1315,10 @@ Result<SimSession> SimSession::RestoreView(std::string_view bytes,
   // the same-time tie-break order is bit-exact.
   if (r.ok()) {
     const int64_t arrival_seq_base = static_cast<int64_t>(s.fault_events.size());
-    for (size_t i = 0; i < s.trace.size(); ++i) {
-      if (s.trace[i].arrival_s > s.now) {
-        s.queue.push_back(QueueEntry{s.trace[i].arrival_s,
+    const std::vector<TraceEvent>& arrivals = s.trace->events;
+    for (size_t i = 0; i < arrivals.size(); ++i) {
+      if (arrivals[i].arrival_s > s.now) {
+        s.queue.push_back(QueueEntry{arrivals[i].arrival_s,
                                      arrival_seq_base + static_cast<int64_t>(i),
                                      SimEventKind::kVmArrival,
                                      static_cast<int64_t>(i)});
@@ -1480,7 +1515,8 @@ Result<SimSession> SimSession::RestoreView(std::string_view bytes,
   // trace checksum was verified against the ORIGINAL config's mix, and the
   // registry import needed the snapshot's exact layout. Enabling interactive
   // serving here appends the slo/* metrics to the registry tail -- the same
-  // position BuildCore gives them -- and re-tags the regenerated trace, so
+  // position BuildCore gives them -- and swaps in a session-private trace
+  // regenerated under the new mix (never a write through a shared one), so
   // only future arrivals change; already-placed VMs keep their specs.
   if (r.ok() && options.slo.active) {
     const bool was_enabled = s.config.interactive.enabled;
@@ -1504,16 +1540,10 @@ Result<SimSession> SimSession::RestoreView(std::string_view bytes,
     }
     if (r.ok() && (options.slo.fraction >= 0.0 || !was_enabled)) {
       if (s.trace_generated) {
-        s.trace = s.config.arrivals.enabled
-                      ? GenerateDiurnalTrace(s.config.trace, s.config.arrivals)
-                      : GenerateTrace(s.config.trace);
-        s.interactive_tagged = ApplyInteractiveMix(s.trace, mix);
-        s.trace_fnv = TraceFnv(s.trace);
+        s.trace = GenerateArrivalTrace(s.config);
       } else if (options.slo.fraction >= 0.0) {
         r.Fail("slo override cannot re-tag an explicit trace (no generator "
                "to rerun); it tags by the \"web\" name prefix only");
-      } else {
-        s.interactive_tagged = CountInteractive(s.trace);
       }
     }
     if (r.ok() && !was_enabled) {

@@ -54,6 +54,22 @@ struct SimInspectView {
   std::vector<SimServerView> servers;
 };
 
+// A materialised arrival trace, frozen once built so any number of
+// sessions -- concurrently, from different threads -- can share one copy.
+// VmId == index into `events`. `fnv` is the checksum a snapshot records for
+// the trace (the FNV-1a of its serialized form, format v4), and
+// `interactive_tagged` counts the events named "web*".
+struct ArrivalTrace {
+  std::vector<TraceEvent> events;
+  uint64_t fnv = 0;
+  int64_t interactive_tagged = 0;
+};
+
+// The checksum ArrivalTrace::fnv holds and snapshots record for a trace: the
+// FNV-1a-64 of the sealed blob a SnapshotWriter would produce from the events
+// alone (header, each event's fields, footer), streamed without building it.
+uint64_t TraceFnv(const std::vector<TraceEvent>& trace);
+
 class SimSession {
  public:
   struct RestoreOptions {
@@ -84,6 +100,15 @@ class SimSession {
       double control_period_s = -1.0;
     };
     SloOverride slo;
+    // A verified trace to adopt instead of regenerating one (the what-if
+    // service passes its base session's trace() to every child). Adopted
+    // only when the snapshot's trace is config-generated (elided) and this
+    // trace's size and checksum equal the pair the snapshot recorded -- the
+    // same test a regenerated trace must pass. Otherwise it is ignored and
+    // the trace is regenerated and verified (or read inline) as without it.
+    // Never written through: an `slo` fraction override re-tags a private
+    // copy.
+    std::shared_ptr<const ArrivalTrace> trace;
   };
 
   // Builds the session and schedules the whole run (fault timeline, trace
@@ -153,6 +178,9 @@ class SimSession {
   // sink was supplied via ClusterSimConfig::telemetry / RestoreOptions).
   TelemetryContext& telemetry();
   const ClusterSimConfig& config() const;
+  // The session's immutable arrival trace; pass it as RestoreOptions::trace
+  // to restore further sessions off the same snapshot without regenerating.
+  const std::shared_ptr<const ArrivalTrace>& trace() const;
   // Deep access for tests and embedders; treat as read-only between steps.
   ClusterManager& manager();
 

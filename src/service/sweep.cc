@@ -136,7 +136,7 @@ Result<ResourceVector> ParseShape(const std::string& text) {
 }
 
 // One cell of the grid, executed on a private child session. `service`
-// provides the shared blob; everything else is cell-local.
+// provides the shared blob and trace; everything else is cell-local.
 Result<std::string> RunCell(const WhatIfService& service, const SweepGrid& grid,
                             PlacementPolicy policy, double fail_fraction,
                             double overcommit_target, double intensity) {

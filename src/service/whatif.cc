@@ -89,6 +89,9 @@ Result<WhatIfService> WhatIfService::Load(std::string blob) {
   }
   service.base_now_s_ = check.value().now();
   service.base_duration_s_ = check.value().duration_s();
+  // The probe verified this trace against the blob; every child adopts it
+  // instead of regenerating the workload.
+  service.trace_ = check.value().trace();
   return service;
 }
 
@@ -99,14 +102,15 @@ Result<SimSession> WhatIfService::RestoreChild(
   options.telemetry = telemetry;
   options.threads = 1;
   options.placement = placement;
+  options.trace = trace_;
   if (slo != nullptr) {
     options.slo = *slo;
   }
   return SimSession::RestoreView(std::string_view(*blob_), options);
 }
 
-Result<std::string> WhatIfService::Answer(const WhatIfQuery& query) const {
-  TelemetryContext telemetry;
+SimSession::RestoreOptions::SloOverride WhatIfService::SloOverrideFor(
+    const WhatIfQuery& query) {
   SimSession::RestoreOptions::SloOverride slo;
   if (query.kind == QueryKind::kSlo) {
     slo.active = true;
@@ -115,12 +119,22 @@ Result<std::string> WhatIfService::Answer(const WhatIfQuery& query) const {
     slo.policy = query.slo_policy;
     slo.control_period_s = query.slo_period_s;
   }
+  return slo;
+}
+
+Result<std::string> WhatIfService::Answer(const WhatIfQuery& query) const {
+  TelemetryContext telemetry;
+  const SimSession::RestoreOptions::SloOverride slo = SloOverrideFor(query);
   Result<SimSession> restored =
       RestoreChild(&telemetry, /*placement=*/-1, slo.active ? &slo : nullptr);
   if (!restored.ok()) {
     return Error{"what-if restore failed: " + restored.error()};
   }
-  SimSession& session = restored.value();
+  return AnswerOn(restored.value(), query);
+}
+
+std::string WhatIfService::AnswerOn(SimSession& session, const WhatIfQuery& query) {
+  TelemetryContext& telemetry = session.telemetry();
   ClusterManager& manager = session.manager();
   const ClusterCounters before = manager.counters();
   // kSlo reports metric deltas over its run; the child's registry arrives

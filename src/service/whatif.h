@@ -7,10 +7,13 @@
 //
 // Isolation model: every query gets its own SimSession (restored zero-copy
 // via SimSession::RestoreView), its own fresh TelemetryContext, and an
-// inline (threads=1) pool, so concurrent queries share exactly one thing --
-// the const blob -- and an answer depends only on (blob, query). That is
-// what makes AnswerBatch byte-identical at every worker count: results are
-// written into a slot per query and joined in input order.
+// inline (threads=1) pool. Concurrent queries share only immutable state:
+// the const blob and the const arrival trace the probe restore at Load
+// verified against it (children adopt it instead of regenerating the
+// workload; an `slo fraction=` child re-tags a private copy). An answer
+// therefore depends only on (blob, query). That is what makes AnswerBatch
+// byte-identical at every worker count: results are written into a slot
+// per query and joined in input order.
 #ifndef SRC_SERVICE_WHATIF_H_
 #define SRC_SERVICE_WHATIF_H_
 
@@ -37,6 +40,14 @@ class WhatIfService {
   // placement rejected) are data in the answer, not errors.
   Result<std::string> Answer(const WhatIfQuery& query) const;
 
+  // Answer() split in two: the restore-time override a query needs (active
+  // only for `slo`), and the answer rendered on a child restored with it.
+  // Public so the property suite can answer on children restored other ways
+  // (e.g. without the shared trace) and compare.
+  static SimSession::RestoreOptions::SloOverride SloOverrideFor(
+      const WhatIfQuery& query);
+  static std::string AnswerOn(SimSession& child, const WhatIfQuery& query);
+
   // Answers every query, fanning over `workers` threads (<= 1 = serial on
   // the caller), and joins the lines in input order with a trailing
   // `# batch` footer carrying the query count and an FNV-1a-64 digest of
@@ -45,12 +56,12 @@ class WhatIfService {
   std::string AnswerBatch(const std::vector<WhatIfQuery>& queries,
                           int workers) const;
 
-  // Forks a private child session off the shared blob. `telemetry` must be
-  // fresh; `placement` >= 0 overrides the future placement policy (the
-  // sweep orchestrator's policy axis); `slo` (when non-null and active)
-  // overrides the interactive-serving SLO config on the child, enabling it
-  // if the snapshot ran without one. Children restore with threads=1:
-  // queries parallelize across sessions, never inside one.
+  // Forks a private child session off the shared blob and the shared trace.
+  // `telemetry` must be fresh; `placement` >= 0 overrides the future
+  // placement policy (the sweep orchestrator's policy axis); `slo` (when
+  // non-null and active) overrides the interactive-serving SLO config on the
+  // child, enabling it if the snapshot ran without one. Children restore
+  // with threads=1: queries parallelize across sessions, never inside one.
   Result<SimSession> RestoreChild(
       TelemetryContext* telemetry, int placement = -1,
       const SimSession::RestoreOptions::SloOverride* slo = nullptr) const;
@@ -62,12 +73,16 @@ class WhatIfService {
   double base_now_s() const { return base_now_s_; }
   double base_duration_s() const { return base_duration_s_; }
   const std::string& blob() const { return *blob_; }
+  // The base session's arrival trace, verified against the blob at Load and
+  // handed to every child as SimSession::RestoreOptions::trace.
+  const std::shared_ptr<const ArrivalTrace>& trace() const { return trace_; }
 
  private:
   explicit WhatIfService(std::shared_ptr<const std::string> blob)
       : blob_(std::move(blob)) {}
 
   std::shared_ptr<const std::string> blob_;
+  std::shared_ptr<const ArrivalTrace> trace_;
   uint64_t blob_fnv_ = 0;
   double base_now_s_ = 0.0;
   double base_duration_s_ = 0.0;

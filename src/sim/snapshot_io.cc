@@ -1,5 +1,6 @@
 #include "src/sim/snapshot_io.h"
 
+#include <array>
 #include <cassert>
 #include <cstdio>
 #include <cstring>
@@ -11,20 +12,41 @@
 namespace defl {
 
 uint64_t SnapshotFnv1a64(const char* data, size_t size) {
-  uint64_t hash = 14695981039346656037ull;
-  for (size_t i = 0; i < size; ++i) {
-    hash ^= static_cast<unsigned char>(data[i]);
-    hash *= 1099511628211ull;
-  }
-  return hash;
+  Fnv1a64Hasher fnv;
+  fnv.Update(data, size);
+  return fnv.digest();
 }
 
 namespace {
 
-void AppendU64Le(std::string& out, uint64_t v) {
-  for (int i = 0; i < 8; ++i) {
-    out.push_back(static_cast<char>((v >> (8 * i)) & 0xff));
+// Little-endian encodings shared by the writer and the digest, so both see
+// the same bytes for the same value.
+std::array<char, 4> U32Le(uint32_t v) {
+  std::array<char, 4> out;
+  for (int i = 0; i < 4; ++i) {
+    out[i] = static_cast<char>((v >> (8 * i)) & 0xff);
   }
+  return out;
+}
+
+std::array<char, 8> U64Le(uint64_t v) {
+  std::array<char, 8> out;
+  for (int i = 0; i < 8; ++i) {
+    out[i] = static_cast<char>((v >> (8 * i)) & 0xff);
+  }
+  return out;
+}
+
+uint64_t F64Bits(double v) {
+  uint64_t bits = 0;
+  static_assert(sizeof(bits) == sizeof(v));
+  std::memcpy(&bits, &v, sizeof(bits));
+  return bits;
+}
+
+void AppendU64Le(std::string& out, uint64_t v) {
+  const std::array<char, 8> le = U64Le(v);
+  out.append(le.data(), le.size());
 }
 
 uint64_t LoadU64Le(const char* p) {
@@ -49,9 +71,8 @@ void SnapshotWriter::WriteU8(uint8_t v) {
 
 void SnapshotWriter::WriteU32(uint32_t v) {
   assert(!finished_);
-  for (int i = 0; i < 4; ++i) {
-    bytes_.push_back(static_cast<char>((v >> (8 * i)) & 0xff));
-  }
+  const std::array<char, 4> le = U32Le(v);
+  bytes_.append(le.data(), le.size());
 }
 
 void SnapshotWriter::WriteU64(uint64_t v) {
@@ -59,12 +80,7 @@ void SnapshotWriter::WriteU64(uint64_t v) {
   AppendU64Le(bytes_, v);
 }
 
-void SnapshotWriter::WriteF64(double v) {
-  uint64_t bits = 0;
-  static_assert(sizeof(bits) == sizeof(v));
-  std::memcpy(&bits, &v, sizeof(bits));
-  WriteU64(bits);
-}
+void SnapshotWriter::WriteF64(double v) { WriteU64(F64Bits(v)); }
 
 void SnapshotWriter::WriteString(const std::string& s) {
   WriteU64(s.size());
@@ -77,6 +93,38 @@ std::string SnapshotWriter::Finish() {
   finished_ = true;
   AppendU64Le(bytes_, SnapshotFnv1a64(bytes_.data(), bytes_.size()));
   return std::move(bytes_);
+}
+
+SnapshotDigest::SnapshotDigest() {
+  fnv_.Update(kSnapshotMagic, sizeof(kSnapshotMagic));
+  WriteU32(kSnapshotFormatVersion);
+}
+
+void SnapshotDigest::WriteU8(uint8_t v) {
+  const char c = static_cast<char>(v);
+  fnv_.Update(&c, 1);
+}
+
+void SnapshotDigest::WriteU32(uint32_t v) {
+  const std::array<char, 4> le = U32Le(v);
+  fnv_.Update(le.data(), le.size());
+}
+
+void SnapshotDigest::WriteU64(uint64_t v) {
+  const std::array<char, 8> le = U64Le(v);
+  fnv_.Update(le.data(), le.size());
+}
+
+void SnapshotDigest::WriteF64(double v) { WriteU64(F64Bits(v)); }
+
+void SnapshotDigest::WriteString(const std::string& s) {
+  WriteU64(s.size());
+  fnv_.Update(s.data(), s.size());
+}
+
+uint64_t SnapshotDigest::Finish() {
+  WriteU64(fnv_.digest());
+  return fnv_.digest();
 }
 
 SnapshotReader::SnapshotReader(std::string owned, std::string_view bytes,

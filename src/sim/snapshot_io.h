@@ -22,6 +22,22 @@
 
 namespace defl {
 
+// Streaming FNV-1a 64-bit: bytes fed across any number of Update() calls
+// hash exactly as their concatenation would in one call.
+class Fnv1a64Hasher {
+ public:
+  void Update(const char* data, size_t size) {
+    for (size_t i = 0; i < size; ++i) {
+      hash_ ^= static_cast<unsigned char>(data[i]);
+      hash_ *= 1099511628211ull;
+    }
+  }
+  uint64_t digest() const { return hash_; }
+
+ private:
+  uint64_t hash_ = 14695981039346656037ull;
+};
+
 // FNV-1a 64-bit over a byte range (the same digest the golden suite pins
 // tool output with; here it is the snapshot integrity footer).
 uint64_t SnapshotFnv1a64(const char* data, size_t size);
@@ -57,6 +73,28 @@ class SnapshotWriter {
  private:
   std::string bytes_;
   bool finished_ = false;
+};
+
+// The FNV-1a-64 of the blob a SnapshotWriter would Finish() given the same
+// writes -- header, payload and footer -- computed without materialising the
+// blob. Same typed interface as the writer, so one templated serializer can
+// drive either and the hashed bytes cannot drift from the written ones.
+class SnapshotDigest {
+ public:
+  SnapshotDigest();
+
+  void WriteU8(uint8_t v);
+  void WriteU32(uint32_t v);
+  void WriteU64(uint64_t v);
+  void WriteF64(double v);
+  void WriteString(const std::string& s);
+
+  // Folds in the footer (the little-endian running hash, as Finish() appends
+  // it) and returns the digest. The object must not be reused afterwards.
+  uint64_t Finish();
+
+ private:
+  Fnv1a64Hasher fnv_;
 };
 
 // Sequential typed decoder over a sealed blob. Open() verifies the magic,

@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdlib>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -31,23 +32,49 @@ uint64_t TestSeed() {
   return 42;
 }
 
-// A mid-run snapshot (half the horizon still ahead), so `run`/`hours=`
-// queries genuinely simulate instead of hitting the horizon clamp.
-std::string MidRunSnapshot() {
+ClusterSimConfig SmallConfig(uint64_t seed) {
   ClusterSimConfig config;
   config.num_servers = 8;
   config.server_capacity = ResourceVector(16.0, 128.0 * 1024.0, 1000.0, 10000.0);
   config.trace.duration_s = 2.0 * 3600.0;
   config.trace.max_lifetime_s = 3600.0;
-  config.trace.seed = TestSeed();
+  config.trace.seed = seed;
   config.trace =
       WithTargetLoad(config.trace, 1.5, config.num_servers, config.server_capacity);
   config.reinflate_period_s = 600.0;
+  return config;
+}
+
+// The same fleet serving an interactive mix over diurnal arrivals, so `slo`
+// queries without fraction= keep the snapshotted mix and with it re-tag.
+ClusterSimConfig InteractiveConfig(uint64_t seed) {
+  ClusterSimConfig config = SmallConfig(seed);
+  config.arrivals.enabled = true;
+  config.arrivals.diurnal_amplitude = 0.6;
+  config.arrivals.diurnal_period_s = 3600.0;
+  config.arrivals.seed = seed;
+  config.interactive.enabled = true;
+  config.interactive.fraction = 0.45;
+  config.interactive.slo_p99_ms = 60.0;
+  config.interactive.control_period_s = 300.0;
+  config.interactive.rate_rps_per_cpu = 120.0;
+  config.interactive.rate_period_s = 3600.0;
+  return config;
+}
+
+std::string SnapshotAtOneHour(const ClusterSimConfig& config) {
   Result<SimSession> session = SimSession::Open(config);
   EXPECT_TRUE(session.ok()) << session.error();
+  if (!session.ok()) {
+    return "";
+  }
   session.value().StepUntil(3600.0);
   return session.value().SnapshotBytes();
 }
+
+// A mid-run snapshot (half the horizon still ahead), so `run`/`hours=`
+// queries genuinely simulate instead of hitting the horizon clamp.
+std::string MidRunSnapshot() { return SnapshotAtOneHour(SmallConfig(TestSeed())); }
 
 WhatIfQuery RandomQuery(Rng& rng) {
   WhatIfQuery query;
@@ -184,6 +211,205 @@ TEST(WhatIfSweepTest, WorkerCountDoesNotChangeSweepReport) {
   EXPECT_NE(one.value().find("# sweep cells=8 "), std::string::npos)
       << one.value();
 }
+
+// --- The shared arrival trace (DESIGN.md §15) ------------------------------
+// Children adopt the trace the service verified at Load instead of
+// regenerating the workload. These properties pin that adoption is
+// invisible: same answers as a child that regenerates, no adoption of a
+// trace that is not the snapshot's, and no write through the shared copy.
+
+std::vector<WhatIfQuery> EveryKindQueries() {
+  const char* const lines[] = {
+      "place count=20 cpu=2 mem=4096 hours=0.5",
+      "place count=6 cpu=4 mem=8192 prio=high",
+      "fail fraction=0.25 seed=7 hours=0.5",
+      "overcommit target=1.6 cpu=2 mem=4096 limit=80",
+      "run hours=0.5",
+      "slo hours=0.5",
+      "slo p99=40 policy=uniform hours=0.5",
+      "slo fraction=0.8 hours=0.5",
+      "slo p99=80 fraction=0.2 policy=slo hours=0.5",
+  };
+  std::vector<WhatIfQuery> queries;
+  for (const char* line : lines) {
+    Result<WhatIfQuery> query = ParseQuery(line);
+    EXPECT_TRUE(query.ok()) << line << ": " << query.error();
+    if (query.ok()) {
+      queries.push_back(query.value());
+    }
+  }
+  return queries;
+}
+
+// Restores a child exactly as WhatIfService::Answer does, but with `hint` as
+// the trace (nullptr: none, so the trace is regenerated or read inline).
+Result<SimSession> RestoreWithHint(const std::string& blob, const WhatIfQuery& query,
+                                   std::shared_ptr<const ArrivalTrace> hint,
+                                   TelemetryContext* telemetry) {
+  SimSession::RestoreOptions options;
+  options.telemetry = telemetry;
+  options.threads = 1;
+  options.slo = WhatIfService::SloOverrideFor(query);
+  options.trace = std::move(hint);
+  return SimSession::RestoreView(blob, options);
+}
+
+std::string AnswerWithHint(const std::string& blob, const WhatIfQuery& query,
+                           std::shared_ptr<const ArrivalTrace> hint) {
+  TelemetryContext telemetry;
+  Result<SimSession> child = RestoreWithHint(blob, query, std::move(hint), &telemetry);
+  EXPECT_TRUE(child.ok()) << child.error();
+  return child.ok() ? WhatIfService::AnswerOn(child.value(), query) : "";
+}
+
+TEST(WhatIfSharedTraceTest, ChildrenAdoptTheVerifiedTraceUnlessRetagging) {
+  Result<WhatIfService> loaded =
+      WhatIfService::Load(SnapshotAtOneHour(InteractiveConfig(TestSeed())));
+  ASSERT_TRUE(loaded.ok()) << loaded.error();
+  const WhatIfService& service = loaded.value();
+  ASSERT_NE(service.trace(), nullptr);
+  for (const WhatIfQuery& query : EveryKindQueries()) {
+    TelemetryContext telemetry;
+    Result<SimSession> child = RestoreWithHint(service.blob(), query,
+                                               service.trace(), &telemetry);
+    ASSERT_TRUE(child.ok()) << child.error();
+    const std::string kind = QueryKindName(query.kind);
+    if (query.kind == QueryKind::kSlo && query.mix_fraction >= 0.0) {
+      // A new mix re-tags a child-private copy.
+      EXPECT_NE(child.value().trace(), service.trace()) << kind;
+      EXPECT_NE(child.value().trace()->fnv, service.trace()->fnv) << kind;
+    } else {
+      EXPECT_EQ(child.value().trace(), service.trace()) << kind;
+    }
+  }
+}
+
+TEST(WhatIfSharedTraceTest, HintedAnswersMatchUnhintedForEveryKind) {
+  for (const bool interactive : {false, true}) {
+    const std::string blob = SnapshotAtOneHour(
+        interactive ? InteractiveConfig(TestSeed()) : SmallConfig(TestSeed()));
+    Result<WhatIfService> loaded = WhatIfService::Load(blob);
+    ASSERT_TRUE(loaded.ok()) << loaded.error();
+    const std::vector<WhatIfQuery> queries = EveryKindQueries();
+    std::string unhinted;
+    for (const WhatIfQuery& query : queries) {
+      const std::string expected = AnswerWithHint(blob, query, nullptr);
+      Result<std::string> answer = loaded.value().Answer(query);
+      ASSERT_TRUE(answer.ok()) << answer.error();
+      EXPECT_EQ(expected, answer.value())
+          << "interactive=" << interactive << " kind " << QueryKindName(query.kind);
+      unhinted += expected + "\n";
+    }
+    // The batch path (hinted, concurrent) lands on the same lines.
+    const std::string batch = loaded.value().AnswerBatch(queries, 3);
+    EXPECT_EQ(batch.substr(0, unhinted.size()), unhinted)
+        << "interactive=" << interactive;
+  }
+}
+
+TEST(WhatIfSharedTraceTest, ForeignHintIsNotAdopted) {
+  // A trace from another blob (another seed) fails the size/checksum test,
+  // so the child regenerates its own and answers as if unhinted.
+  Result<WhatIfService> other =
+      WhatIfService::Load(SnapshotAtOneHour(InteractiveConfig(TestSeed() + 1)));
+  ASSERT_TRUE(other.ok()) << other.error();
+  const std::shared_ptr<const ArrivalTrace> foreign = other.value().trace();
+  const std::string blob = SnapshotAtOneHour(InteractiveConfig(TestSeed()));
+  for (const WhatIfQuery& query : EveryKindQueries()) {
+    const std::string kind = QueryKindName(query.kind);
+    TelemetryContext telemetry;
+    Result<SimSession> child = RestoreWithHint(blob, query, foreign, &telemetry);
+    ASSERT_TRUE(child.ok()) << child.error();
+    EXPECT_NE(child.value().trace(), foreign) << kind;
+    EXPECT_NE(child.value().trace()->fnv, foreign->fnv) << kind;
+    EXPECT_EQ(WhatIfService::AnswerOn(child.value(), query),
+              AnswerWithHint(blob, query, nullptr))
+        << kind;
+  }
+}
+
+TEST(WhatIfSharedTraceTest, ExplicitTraceSnapshotIgnoresHint) {
+  // The same events, handed in explicitly: the snapshot inlines them. A hint
+  // from the generated twin matches size and checksum exactly, yet the
+  // inline trace is authoritative and the hint is not adopted.
+  ClusterSimConfig generated = SmallConfig(TestSeed());
+  Result<SimSession> twin = SimSession::Open(generated);
+  ASSERT_TRUE(twin.ok()) << twin.error();
+  const std::shared_ptr<const ArrivalTrace> hint = twin.value().trace();
+  ClusterSimConfig explicit_config = generated;
+  explicit_config.explicit_trace = hint->events;
+  const std::string blob = SnapshotAtOneHour(explicit_config);
+
+  const WhatIfQuery run = ParseQuery("run hours=0.5").value();
+  TelemetryContext telemetry;
+  Result<SimSession> child = RestoreWithHint(blob, run, hint, &telemetry);
+  ASSERT_TRUE(child.ok()) << child.error();
+  EXPECT_EQ(child.value().trace()->fnv, hint->fnv);
+  EXPECT_NE(child.value().trace(), hint);
+  EXPECT_TRUE(child.value().SnapshotBytes() == blob);
+
+  Result<WhatIfService> loaded = WhatIfService::Load(blob);
+  ASSERT_TRUE(loaded.ok()) << loaded.error();
+  for (const WhatIfQuery& query : EveryKindQueries()) {
+    if (query.kind == QueryKind::kSlo && query.mix_fraction >= 0.0) {
+      continue;  // cannot re-tag an explicit trace (rejected either way)
+    }
+    Result<std::string> answer = loaded.value().Answer(query);
+    ASSERT_TRUE(answer.ok()) << answer.error();
+    EXPECT_EQ(answer.value(), AnswerWithHint(blob, query, nullptr))
+        << QueryKindName(query.kind);
+  }
+}
+
+TEST(WhatIfSharedTraceTest, ConcurrentSloRetagsNeverWriteTheSharedTrace) {
+  Result<WhatIfService> loaded =
+      WhatIfService::Load(SnapshotAtOneHour(InteractiveConfig(TestSeed())));
+  ASSERT_TRUE(loaded.ok()) << loaded.error();
+  const WhatIfService& service = loaded.value();
+  const ArrivalTrace& shared = *service.trace();
+  const uint64_t fnv_at_load = shared.fnv;
+  ASSERT_EQ(TraceFnv(shared.events), fnv_at_load);
+
+  Rng rng(TestSeed() ^ 0x7e7a95ULL);
+  std::vector<WhatIfQuery> queries;
+  for (int i = 0; i < 8; ++i) {
+    WhatIfQuery query;
+    query.kind = QueryKind::kSlo;
+    query.mix_fraction = rng.Uniform(0.0, 1.0);
+    query.hours = rng.Uniform(0.1, 0.4);
+    queries.push_back(query);
+  }
+  const std::string serial = service.AnswerBatch(queries, 1);
+  for (const int workers : {2, 7}) {
+    EXPECT_EQ(serial, service.AnswerBatch(queries, workers))
+        << "workers=" << workers << " changed an slo answer";
+  }
+  // Recomputed, not read back: the events themselves are untouched.
+  EXPECT_EQ(TraceFnv(shared.events), fnv_at_load);
+  EXPECT_EQ(service.blob_fnv(),
+            SnapshotFnv1a64(service.blob().data(), service.blob().size()));
+}
+
+#ifdef DEFL_CHECK_ACCOUNTING
+TEST(WhatIfSharedTraceDeathTest, CheckedBuildAbortsOnATamperedHint) {
+  // A hint's checksum is trusted in release builds. Checked builds re-prove
+  // it, so events changed after the checksum was taken abort the restore
+  // instead of passing for the snapshot's arrivals.
+  const std::string blob = SnapshotAtOneHour(SmallConfig(TestSeed()));
+  Result<WhatIfService> loaded = WhatIfService::Load(blob);
+  ASSERT_TRUE(loaded.ok()) << loaded.error();
+  auto tampered = std::make_shared<ArrivalTrace>(*loaded.value().trace());
+  ASSERT_FALSE(tampered->events.empty());
+  tampered->events.back().lifetime_s += 1.0;  // fnv left stale
+  const WhatIfQuery run = ParseQuery("run hours=0.5").value();
+  EXPECT_DEATH(
+      {
+        TelemetryContext telemetry;
+        (void)RestoreWithHint(blob, run, tampered, &telemetry);
+      },
+      "no longer match");
+}
+#endif
 
 }  // namespace
 }  // namespace defl
