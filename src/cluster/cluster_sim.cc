@@ -18,11 +18,4 @@ ClusterSimResult RunClusterSim(const ClusterSimConfig& config) {
   return session.value().Finish();
 }
 
-ClusterSimResult RunClusterSim(const ClusterSimConfig& config,
-                               TelemetryContext* telemetry) {
-  ClusterSimConfig with_sink = config;
-  with_sink.telemetry = telemetry;
-  return RunClusterSim(with_sink);
-}
-
 }  // namespace defl

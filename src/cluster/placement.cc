@@ -59,13 +59,12 @@ bool UseParallelScan(size_t candidates, ThreadPool* pool) {
          candidates >= kMinParallelCandidates;
 }
 
-// Scans candidates [begin, end) exactly like the sequential loops below:
-// feasibility and fitness consume one availability vector per server.
-ChunkScan ScanRange(const ResourceVector& demand, const std::vector<Server*>& servers,
-                    AvailabilityMode mode, bool need_fitness, size_t begin,
-                    size_t end) {
+// The object-graph scan: feasibility and fitness consume one availability
+// vector per server.
+ChunkScan ScanAll(const ResourceVector& demand, const std::vector<Server*>& servers,
+                  AvailabilityMode mode, bool need_fitness) {
   ChunkScan out;
-  for (size_t i = begin; i < end; ++i) {
+  for (size_t i = 0; i < servers.size(); ++i) {
     const ResourceVector availability = ServerAvailability(*servers[i], mode);
     if (!demand.AllLeq(availability)) {
       continue;
@@ -115,24 +114,6 @@ std::vector<ChunkScan>& ChunkScratch(size_t chunks) {
   return scratch;
 }
 
-// Whole-candidate-set scan, sharded across `pool` when profitable.
-ChunkScan ScanAll(const ResourceVector& demand, const std::vector<Server*>& servers,
-                  AvailabilityMode mode, bool need_fitness, ThreadPool* pool) {
-  if (!UseParallelScan(servers.size(), pool)) {
-    return ScanRange(demand, servers, mode, need_fitness, 0, servers.size());
-  }
-  const size_t count = servers.size();
-  const size_t chunks = (count + kScanChunk - 1) / kScanChunk;
-  std::vector<ChunkScan>& partial = ChunkScratch(chunks);
-  pool->ParallelFor(static_cast<int64_t>(chunks), [&](int64_t c) {
-    const size_t begin = static_cast<size_t>(c) * kScanChunk;
-    const size_t end = std::min(begin + kScanChunk, count);
-    partial[static_cast<size_t>(c)] =
-        ScanRange(demand, servers, mode, need_fitness, begin, end);
-  });
-  return MergeChunks(partial);
-}
-
 // --- Structure-of-arrays scan (FleetView) ---
 
 // The two column sets whose elementwise sum is a row's availability under
@@ -166,7 +147,7 @@ FleetCols ModeColumns(const FleetView& fleet, AvailabilityMode mode) {
   return cols;
 }
 
-// Flat-loop equivalent of ScanRange over candidate positions [begin, end).
+// Flat-loop equivalent of ScanAll over candidate positions [begin, end).
 // Every floating-point operation replicates the object-graph path in the
 // same order: availability = base (+ extra) per dimension (the same adds as
 // Server::Availability), feasibility = AllLeq's per-dimension compare with
@@ -257,9 +238,8 @@ ChunkScan ScanFleetRange(const FleetCols& cols, const double (&d)[kNumResources]
 }
 
 // SoA whole-candidate scan; shards CANDIDATE INDEX RANGES across the pool
-// (workers touch only the flat columns). Same chunk size, merge, and
-// tie-breaks as the object-graph ScanAll, so the outcome is byte-identical
-// at any thread count.
+// (workers touch only the flat columns). The merge's tie-breaks are those of
+// the sequential scan, so the outcome is byte-identical at any thread count.
 ChunkScan ScanAllFleet(const ResourceVector& demand, const FleetView& fleet,
                        const std::vector<uint32_t>& candidates, AvailabilityMode mode,
                        bool need_fitness, ThreadPool* pool) {
@@ -288,7 +268,7 @@ ChunkScan ScanAllFleet(const ResourceVector& demand, const FleetView& fleet,
 
 Result<size_t> PlaceVm(const ResourceVector& demand,
                        const std::vector<Server*>& servers, PlacementPolicy policy,
-                       Rng& rng, AvailabilityMode mode, ThreadPool* pool) {
+                       Rng& rng, AvailabilityMode mode) {
   if (servers.empty()) {
     return Error{"no servers"};
   }
@@ -298,7 +278,7 @@ Result<size_t> PlaceVm(const ResourceVector& demand,
   // Free/clamp/adds -- is still worth sharing on the placement hot path).
   switch (policy) {
     case PlacementPolicy::kFirstFit: {
-      const ChunkScan scan = ScanAll(demand, servers, mode, /*need_fitness=*/false, pool);
+      const ChunkScan scan = ScanAll(demand, servers, mode, /*need_fitness=*/false);
       if (scan.first_feasible == SIZE_MAX) {
         return Error{"no feasible server (first-fit)"};
       }
@@ -306,7 +286,7 @@ Result<size_t> PlaceVm(const ResourceVector& demand,
     }
 
     case PlacementPolicy::kBestFit: {
-      const ChunkScan scan = ScanAll(demand, servers, mode, /*need_fitness=*/true, pool);
+      const ChunkScan scan = ScanAll(demand, servers, mode, /*need_fitness=*/true);
       if (scan.best_feasible == SIZE_MAX) {
         return Error{"no feasible server (best-fit)"};
       }
@@ -352,7 +332,7 @@ Result<size_t> PlaceVm(const ResourceVector& demand,
           return b;
         }
       }
-      const ChunkScan scan = ScanAll(demand, servers, mode, /*need_fitness=*/false, pool);
+      const ChunkScan scan = ScanAll(demand, servers, mode, /*need_fitness=*/false);
       if (scan.first_feasible == SIZE_MAX) {
         return Error{"no feasible server (2-choices)"};
       }

@@ -28,21 +28,11 @@ double PlacementFitness(const ResourceVector& demand, const ResourceVector& avai
 ResourceVector ServerAvailability(const Server& server, AvailabilityMode mode);
 
 // Picks a server whose availability (per `mode`) covers `demand`. Returns an
-// index into `servers` or an error when no server is feasible.
-//
-// With a non-null `pool`, the candidate scan is sharded across the pool's
-// threads: each chunk of candidates is scored by one thread (reading only
-// its own chunk's servers, which may lazily refresh their accounting caches
-// -- the per-shard-ownership rule of DESIGN.md §10), and the per-chunk
-// results are folded with order-independent reductions (min feasible index
-// for first-fit, max fitness with lowest-index tie-break for best-fit). The
-// chosen server is therefore byte-identical to the sequential scan for any
-// pool size and any chunking. 2-choices consumes the caller's RNG stream on
-// the calling thread exactly as before; only its full-scan fallback shards.
+// index into `servers` or an error when no server is feasible. The
+// sequential object-graph scan: the reference PlaceVmFleet is tested against.
 Result<size_t> PlaceVm(const ResourceVector& demand,
                        const std::vector<Server*>& servers, PlacementPolicy policy,
-                       Rng& rng, AvailabilityMode mode = AvailabilityMode::kFreePlusDeflatable,
-                       ThreadPool* pool = nullptr);
+                       Rng& rng, AvailabilityMode mode = AvailabilityMode::kFreePlusDeflatable);
 
 // Availability of one FleetView row under `mode`, assembled from the flat
 // columns with the same elementwise adds as ServerAvailability -- the bits

@@ -9,6 +9,7 @@
 #include <utility>
 
 #include "src/cluster/predictor.h"
+#include "src/cluster/snapshot_schema.h"
 #include "src/common/logging.h"
 #include "src/common/rng.h"
 #include "src/common/stats.h"
@@ -36,7 +37,6 @@ enum class SimEventKind : uint8_t {
   kReinflateTick = 5,  // payload unused; self-reschedules
   kSloTick = 6,        // payload unused; self-reschedules (interactive only)
 };
-constexpr uint8_t kMaxEventKind = 6;
 
 struct QueueEntry {
   double when = 0.0;
@@ -65,50 +65,12 @@ struct LaterEntry {
   }
 };
 
-// The Write* serializers are templated over the sink: a SnapshotWriter
-// appends the bytes, a SnapshotDigest only hashes them (TraceFnv).
-template <typename Sink>
-void WriteResourceVector(Sink& w, const ResourceVector& v) {
-  for (const ResourceKind kind : kAllResources) {
-    w.WriteF64(v[kind]);
-  }
-}
-
-ResourceVector ReadResourceVector(SnapshotReader& r) {
-  ResourceVector v;
-  for (const ResourceKind kind : kAllResources) {
-    v[kind] = r.ReadF64();
-  }
-  return v;
-}
-
-template <typename Sink>
-void WriteVmSpec(Sink& w, const VmSpec& spec) {
-  w.WriteString(spec.name);
-  WriteResourceVector(w, spec.size);
-  w.WriteU8(static_cast<uint8_t>(spec.priority));
-  WriteResourceVector(w, spec.min_size);
-}
-
-VmSpec ReadVmSpec(SnapshotReader& r) {
-  VmSpec spec;
-  spec.name = r.ReadString();
-  spec.size = ReadResourceVector(r);
-  const uint8_t priority = r.ReadU8();
-  if (priority > static_cast<uint8_t>(VmPriority::kLow)) {
-    r.Fail("snapshot VM priority byte " + std::to_string(priority) +
-           " is out of range");
-  }
-  spec.priority = static_cast<VmPriority>(priority);
-  spec.min_size = ReadResourceVector(r);
-  return spec;
-}
-
-template <typename Sink>
-void WriteTraceEvent(Sink& w, const TraceEvent& event) {
-  w.WriteF64(event.arrival_s);
-  w.WriteF64(event.lifetime_s);
-  WriteVmSpec(w, event.spec);
+template <class Ar>
+void Fields(Ar& ar, QueueEntry& e) {
+  ar.F64("when", e.when);
+  ar.I64("seq", e.seq);
+  ar.Enum("kind", e.kind, SimEventKind::kSloTick);
+  ar.I64("payload", e.payload);
 }
 
 }  // namespace
@@ -117,8 +79,9 @@ void WriteTraceEvent(Sink& w, const TraceEvent& event) {
 // restore can prove the arrivals it uses are the ones the run actually used.
 uint64_t TraceFnv(const std::vector<TraceEvent>& trace) {
   SnapshotDigest digest;
+  WriteArchive<SnapshotDigest> ar(digest);
   for (const TraceEvent& event : trace) {
-    WriteTraceEvent(digest, event);
+    ar.Nest("trace", event);
   }
   return digest.Finish();
 }
@@ -219,205 +182,104 @@ double OfferedRps(const InteractiveSloConfig& mix, VmId id, double nominal_cpu,
                       (1.0 + mix.rate_amplitude * wave));
 }
 
-// Length prefix bounded against the remaining payload so a crafted count
-// can never drive a near-infinite loop or allocation.
-uint64_t ReadCount(SnapshotReader& r, size_t min_entry_bytes, const char* what) {
-  const uint64_t n = r.ReadU64();
-  if (r.ok() && min_entry_bytes > 0 &&
-      n > r.Remaining() / min_entry_bytes) {
-    r.Fail(std::string("snapshot ") + what + " count " + std::to_string(n) +
-           " exceeds the remaining payload");
-    return 0;
-  }
-  return n;
+// The snapshot sections after the config, in format order (DESIGN.md §11),
+// one struct each so every field is named once.
+
+// The arrival trace's identity. A config-generated trace is elided to this;
+// an explicit one follows it inline, `size` events.
+struct TraceStamp {
+  bool generated = false;
+  uint64_t size = 0;
+  uint64_t fnv = 0;
+};
+
+template <class Ar>
+void Fields(Ar& ar, TraceStamp& t) {
+  ar.Bool("generated", t.generated);
+  ar.U64("size", t.size);
+  ar.U64("fnv", t.fnv);
 }
 
-void WriteConfig(SnapshotWriter& w, const ClusterSimConfig& config) {
-  w.WriteI64(config.num_servers);
-  WriteResourceVector(w, config.server_capacity);
-  const TraceConfig& t = config.trace;
-  w.WriteF64(t.duration_s);
-  w.WriteF64(t.arrival_rate_per_s);
-  w.WriteF64(t.lifetime_alpha);
-  w.WriteF64(t.min_lifetime_s);
-  w.WriteF64(t.max_lifetime_s);
-  w.WriteF64(t.low_priority_fraction);
-  w.WriteU64(t.seed);
-  w.WriteU64(t.catalog.size());
-  for (const VmCatalogEntry& entry : t.catalog) {
-    w.WriteString(entry.app);
-    WriteResourceVector(w, entry.size);
-    w.WriteF64(entry.min_fraction);
-    w.WriteF64(entry.weight);
+// The event loop and the cluster manager's state apart from the hosted VMs.
+struct LoopImage {
+  double now = 0.0;
+  int64_t next_seq = 0;
+  int64_t events_executed = 0;
+  std::vector<QueueEntry> queue;  // canonical (when, seq) order
+  std::array<uint64_t, 4> rng = {};
+  std::vector<ServerHealth> health;
+  std::vector<VmId> preempted;
+};
+
+template <class Ar>
+void Fields(Ar& ar, LoopImage& l) {
+  ar.F64("now", l.now);
+  ar.I64("next_seq", l.next_seq);
+  ar.I64("events_executed", l.events_executed);
+  ar.Vec("queue", l.queue, 8 * 3 + 1);
+  for (uint64_t& word : l.rng) {
+    ar.U64("rng", word);
   }
-  const ClusterConfig& c = config.cluster;
-  w.WriteU8(static_cast<uint8_t>(c.placement));
-  w.WriteU8(static_cast<uint8_t>(c.strategy));
-  const LocalControllerConfig& lc = c.controller;
-  w.WriteU8(static_cast<uint8_t>(lc.mode));
-  w.WriteF64(lc.latency.swap_out_mbps);
-  w.WriteF64(lc.latency.control_loop_overhead);
-  w.WriteF64(lc.latency.unplug_cold_mbps);
-  w.WriteF64(lc.latency.unplug_freed_mbps);
-  w.WriteF64(lc.latency.app_free_mbps);
-  w.WriteF64(lc.latency.app_fixed_s);
-  w.WriteF64(lc.latency.cpu_unplug_s);
-  w.WriteF64(lc.latency.balloon_mbps);
-  w.WriteF64(lc.latency.fixed_s);
-  w.WriteF64(lc.alpha);
-  w.WriteU8(static_cast<uint8_t>(lc.split));
-  w.WriteF64(lc.deflation_deadline_s);
-  w.WriteF64(lc.guard.rpc_timeout_s);
-  w.WriteI64(lc.guard.max_attempts);
-  w.WriteF64(lc.guard.backoff_base_s);
-  w.WriteF64(lc.guard.backoff_cap_s);
-  w.WriteI64(lc.guard.breaker_threshold);
-  w.WriteU64(c.seed);
-  w.WriteI64(c.threads);
-  w.WriteF64(config.sample_period_s);
-  w.WriteF64(config.reinflate_period_s);
-  w.WriteBool(config.predictive_holdback);
-  w.WriteF64(config.predictor_alpha);
-  w.WriteU64(config.fault_plan.seed);
-  w.WriteU64(config.fault_plan.rules.size());
-  for (const FaultRule& rule : config.fault_plan.rules) {
-    w.WriteU8(static_cast<uint8_t>(rule.kind));
-    w.WriteI64(rule.vm);
-    w.WriteI64(rule.server);
-    w.WriteF64(rule.probability);
-    w.WriteF64(rule.magnitude);
-    w.WriteF64(rule.start_s);
-    w.WriteF64(rule.end_s);
-    w.WriteI64(rule.max_count);
-  }
-  w.WriteF64(config.recovery_grace_s);
-  // Format v2: the diurnal/bursty arrival generator parameters.
-  const ArrivalGenConfig& a = config.arrivals;
-  w.WriteBool(a.enabled);
-  w.WriteF64(a.diurnal_amplitude);
-  w.WriteF64(a.diurnal_period_s);
-  w.WriteF64(a.diurnal_phase_s);
-  w.WriteF64(a.burst_rate_per_s);
-  w.WriteF64(a.burst_duration_s);
-  w.WriteF64(a.burst_multiplier);
-  w.WriteU64(a.seed);
-  // Format v4: the interactive-serving workload mix + SLO controller.
-  const InteractiveSloConfig& i = config.interactive;
-  w.WriteBool(i.enabled);
-  w.WriteF64(i.fraction);
-  w.WriteU64(i.seed);
-  w.WriteF64(i.slo_p99_ms);
-  w.WriteBool(i.slo_aware);
-  w.WriteF64(i.control_period_s);
-  w.WriteF64(i.rate_rps_per_cpu);
-  w.WriteF64(i.rate_amplitude);
-  w.WriteF64(i.rate_period_s);
-  w.WriteF64(i.latency.base_service_us);
-  w.WriteF64(i.latency.knee_fraction);
-  w.WriteF64(i.latency.graceful_slope);
-  w.WriteF64(i.latency.cliff_power);
-  w.WriteF64(i.latency.cliff_scale);
-  w.WriteF64(i.latency.max_utilization);
+  ar.Vec("health", l.health, 1,
+         [&ar](auto& h) { ar.Enum("health", h, ServerHealth::kRecovering); });
+  ar.Vec("preempted", l.preempted, 8, [&ar](auto& id) { ar.I64("id", id); });
 }
 
-ClusterSimConfig ReadConfig(SnapshotReader& r) {
-  ClusterSimConfig config;
-  config.num_servers = static_cast<int>(r.ReadI64());
-  config.server_capacity = ReadResourceVector(r);
-  TraceConfig& t = config.trace;
-  t.duration_s = r.ReadF64();
-  t.arrival_rate_per_s = r.ReadF64();
-  t.lifetime_alpha = r.ReadF64();
-  t.min_lifetime_s = r.ReadF64();
-  t.max_lifetime_s = r.ReadF64();
-  t.low_priority_fraction = r.ReadF64();
-  t.seed = r.ReadU64();
-  t.catalog.clear();
-  const uint64_t catalog_size = ReadCount(r, 8 * 7, "catalog");
-  for (uint64_t i = 0; r.ok() && i < catalog_size; ++i) {
-    VmCatalogEntry entry;
-    entry.app = r.ReadString();
-    entry.size = ReadResourceVector(r);
-    entry.min_fraction = r.ReadF64();
-    entry.weight = r.ReadF64();
-    t.catalog.push_back(std::move(entry));
+// One hosted VM: its spec and the state of every cascade layer.
+struct VmImage {
+  VmId id = 0;
+  VmSpec spec;
+  ResourceVector hv_reclaimed;
+  ResourceVector unplugged;
+  double balloon_mb = 0.0;
+  double app_used_mb = 0.0;
+  double page_cache_mb = 0.0;
+  int pinned_cpus = 0;
+
+  static VmImage Of(const Vm& vm) {
+    const GuestOs& guest = vm.guest_os();
+    return VmImage{vm.id(),           vm.spec(),          vm.hv_reclaimed(),
+                   guest.unplugged(), guest.balloon_mb(), guest.app_used_mb(),
+                   guest.page_cache_mb(), guest.pinned_cpus()};
   }
-  ClusterConfig& c = config.cluster;
-  c.placement = static_cast<PlacementPolicy>(r.ReadU8());
-  c.strategy = static_cast<ReclamationStrategy>(r.ReadU8());
-  LocalControllerConfig& lc = c.controller;
-  lc.mode = static_cast<DeflationMode>(r.ReadU8());
-  lc.latency.swap_out_mbps = r.ReadF64();
-  lc.latency.control_loop_overhead = r.ReadF64();
-  lc.latency.unplug_cold_mbps = r.ReadF64();
-  lc.latency.unplug_freed_mbps = r.ReadF64();
-  lc.latency.app_free_mbps = r.ReadF64();
-  lc.latency.app_fixed_s = r.ReadF64();
-  lc.latency.cpu_unplug_s = r.ReadF64();
-  lc.latency.balloon_mbps = r.ReadF64();
-  lc.latency.fixed_s = r.ReadF64();
-  lc.alpha = r.ReadF64();
-  lc.split = static_cast<DeflationSplit>(r.ReadU8());
-  lc.deflation_deadline_s = r.ReadF64();
-  lc.guard.rpc_timeout_s = r.ReadF64();
-  lc.guard.max_attempts = static_cast<int>(r.ReadI64());
-  lc.guard.backoff_base_s = r.ReadF64();
-  lc.guard.backoff_cap_s = r.ReadF64();
-  lc.guard.breaker_threshold = static_cast<int>(r.ReadI64());
-  c.seed = r.ReadU64();
-  c.threads = static_cast<int>(r.ReadI64());
-  config.sample_period_s = r.ReadF64();
-  config.reinflate_period_s = r.ReadF64();
-  config.predictive_holdback = r.ReadBool();
-  config.predictor_alpha = r.ReadF64();
-  config.fault_plan.seed = r.ReadU64();
-  const uint64_t num_rules = ReadCount(r, 1 + 8 * 7, "fault rule");
-  for (uint64_t i = 0; r.ok() && i < num_rules; ++i) {
-    FaultRule rule;
-    const uint8_t kind = r.ReadU8();
-    if (kind >= kNumFaultKinds) {
-      r.Fail("snapshot fault kind byte " + std::to_string(kind) +
-             " is out of range");
-      break;
-    }
-    rule.kind = static_cast<FaultKind>(kind);
-    rule.vm = r.ReadI64();
-    rule.server = r.ReadI64();
-    rule.probability = r.ReadF64();
-    rule.magnitude = r.ReadF64();
-    rule.start_s = r.ReadF64();
-    rule.end_s = r.ReadF64();
-    rule.max_count = r.ReadI64();
-    config.fault_plan.rules.push_back(rule);
-  }
-  config.recovery_grace_s = r.ReadF64();
-  ArrivalGenConfig& a = config.arrivals;
-  a.enabled = r.ReadBool();
-  a.diurnal_amplitude = r.ReadF64();
-  a.diurnal_period_s = r.ReadF64();
-  a.diurnal_phase_s = r.ReadF64();
-  a.burst_rate_per_s = r.ReadF64();
-  a.burst_duration_s = r.ReadF64();
-  a.burst_multiplier = r.ReadF64();
-  a.seed = r.ReadU64();
-  InteractiveSloConfig& i = config.interactive;
-  i.enabled = r.ReadBool();
-  i.fraction = r.ReadF64();
-  i.seed = r.ReadU64();
-  i.slo_p99_ms = r.ReadF64();
-  i.slo_aware = r.ReadBool();
-  i.control_period_s = r.ReadF64();
-  i.rate_rps_per_cpu = r.ReadF64();
-  i.rate_amplitude = r.ReadF64();
-  i.rate_period_s = r.ReadF64();
-  i.latency.base_service_us = r.ReadF64();
-  i.latency.knee_fraction = r.ReadF64();
-  i.latency.graceful_slope = r.ReadF64();
-  i.latency.cliff_power = r.ReadF64();
-  i.latency.cliff_scale = r.ReadF64();
-  i.latency.max_utilization = r.ReadF64();
-  return config;
+};
+
+template <class Ar>
+void Fields(Ar& ar, VmImage& v) {
+  ar.I64("id", v.id);
+  ar.Nest("spec", v.spec);
+  ar.Nest("hv_reclaimed", v.hv_reclaimed);
+  ar.Nest("unplugged", v.unplugged);
+  ar.F64("balloon_mb", v.balloon_mb);
+  ar.F64("app_used_mb", v.app_used_mb);
+  ar.F64("page_cache_mb", v.page_cache_mb);
+  ar.Int("pinned_cpus", v.pinned_cpus);
 }
+
+// Everything between the hosted VMs and the event trace's records.
+struct TailImage {
+  bool has_injector = false;
+  FaultInjector::State injector;
+  bool predictor_initialized = false;
+  double predictor_mean = 0.0;
+  double predictor_variance = 0.0;
+  bool trace_enabled = false;
+  MetricsRegistry::State metrics;
+};
+
+template <class Ar>
+void Fields(Ar& ar, TailImage& t) {
+  ar.Bool("has_injector", t.has_injector);
+  if (t.has_injector) {
+    ar.Nest("injector", t.injector);
+  }
+  ar.Bool("predictor_initialized", t.predictor_initialized);
+  ar.F64("predictor_mean", t.predictor_mean);
+  ar.F64("predictor_variance", t.predictor_variance);
+  ar.Bool("trace_enabled", t.trace_enabled);
+  ar.Nest("metrics", t.metrics);
+}
+constexpr size_t kTraceRecordBytes = 8 * 12 + 2;
 
 }  // namespace
 
@@ -983,26 +845,21 @@ ClusterManager& SimSession::manager() { return *state_->manager; }
 std::string SimSession::SnapshotBytes() const {
   const State& s = *state_;
   SnapshotWriter w;
+  WriteArchive<SnapshotWriter> ar(w);
 
-  WriteConfig(w, s.config);
+  ar.Nest("config", s.config);
 
   // A config-generated trace is deterministic from the TraceConfig just
   // serialized, so only its length and checksum go into the snapshot; the
   // restore side regenerates and verifies (or adopts a hint that matches
   // both). Explicit traces (replay files, bench harnesses) have no
   // generator to rerun and are inlined in full.
-  w.WriteBool(s.trace_generated);
-  w.WriteU64(s.trace->events.size());
-  w.WriteU64(s.trace->fnv);
+  ar.Nest("trace", TraceStamp{s.trace_generated, s.trace->events.size(), s.trace->fnv});
   if (!s.trace_generated) {
     for (const TraceEvent& event : s.trace->events) {
-      WriteTraceEvent(w, event);
+      ar.Nest("trace", event);
     }
   }
-
-  w.WriteF64(s.now);
-  w.WriteI64(s.next_seq);
-  w.WriteI64(s.events_executed);
 
   // Canonical queue image: sorted by (when, seq), independent of the heap's
   // internal array layout, so identical logical states snapshot to identical
@@ -1011,135 +868,38 @@ std::string SimSession::SnapshotBytes() const {
   // never re-pushed, so the restore side rebuilds them from the trace.
   // Arrivals AT `now` (an event-boundary snapshot can leave same-instant
   // stragglers unexecuted) are the only ones written out.
-  std::vector<QueueEntry> entries;
-  entries.reserve(s.queue.size());
+  LoopImage loop{s.now, s.next_seq, s.events_executed, {}, s.manager->SaveRngState(),
+                 s.manager->health_states(), s.manager->pending_preempted()};
   for (const QueueEntry& entry : s.queue) {
-    if (entry.kind == SimEventKind::kVmArrival && entry.when > s.now) {
-      continue;
+    if (entry.kind != SimEventKind::kVmArrival || entry.when <= s.now) {
+      loop.queue.push_back(entry);
     }
-    entries.push_back(entry);
   }
-  std::sort(entries.begin(), entries.end(),
+  std::sort(loop.queue.begin(), loop.queue.end(),
             [](const QueueEntry& a, const QueueEntry& b) {
               if (a.when != b.when) {
                 return a.when < b.when;
               }
               return a.seq < b.seq;
             });
-  w.WriteU64(entries.size());
-  for (const QueueEntry& entry : entries) {
-    w.WriteF64(entry.when);
-    w.WriteI64(entry.seq);
-    w.WriteU8(static_cast<uint8_t>(entry.kind));
-    w.WriteI64(entry.payload);
-  }
+  ar.Nest("loop", loop);
 
-  const std::array<uint64_t, 4> rng = s.manager->SaveRngState();
-  for (const uint64_t word : rng) {
-    w.WriteU64(word);
-  }
-  const std::vector<ServerHealth>& health = s.manager->health_states();
-  w.WriteU64(health.size());
-  for (const ServerHealth h : health) {
-    w.WriteU8(static_cast<uint8_t>(h));
-  }
-  const std::vector<VmId>& preempted = s.manager->pending_preempted();
-  w.WriteU64(preempted.size());
-  for (const VmId id : preempted) {
-    w.WriteI64(id);
-  }
-  std::vector<Server*> servers = s.manager->servers();
-  w.WriteU64(servers.size());
+  const std::vector<Server*> servers = s.manager->servers();
+  ar.U64("servers", servers.size());
   for (Server* server : servers) {
-    w.WriteU64(server->vm_count());
+    ar.U64("vms", server->vm_count());
     for (const auto& vm : server->vms()) {
-      w.WriteI64(vm->id());
-      WriteVmSpec(w, vm->spec());
-      WriteResourceVector(w, vm->hv_reclaimed());
-      const GuestOs& guest = vm->guest_os();
-      WriteResourceVector(w, guest.unplugged());
-      w.WriteF64(guest.balloon_mb());
-      w.WriteF64(guest.app_used_mb());
-      w.WriteF64(guest.page_cache_mb());
-      w.WriteI64(guest.pinned_cpus());
+      ar.Nest("vm", VmImage::Of(*vm));
     }
   }
 
-  w.WriteBool(s.injector != nullptr);
-  if (s.injector != nullptr) {
-    const FaultInjector::State fstate = s.injector->ExportState();
-    w.WriteU64(fstate.site_draws.size());
-    for (const auto& [kind, vm, server, draws] : fstate.site_draws) {
-      w.WriteU8(kind);
-      w.WriteI64(vm);
-      w.WriteI64(server);
-      w.WriteU64(draws);
-    }
-    w.WriteU64(fstate.rule_fires.size());
-    for (const int64_t fires : fstate.rule_fires) {
-      w.WriteI64(fires);
-    }
-    for (const int64_t count : fstate.injected) {
-      w.WriteI64(count);
-    }
-  }
-
-  w.WriteBool(s.predictor.initialized());
-  w.WriteF64(s.predictor.mean());
-  w.WriteF64(s.predictor.variance());
-
-  w.WriteBool(s.telemetry->trace().enabled());
-  const MetricsRegistry::State mstate = s.telemetry->metrics().ExportState();
-  w.WriteU64(mstate.counters.size());
-  for (const auto& [name, value] : mstate.counters) {
-    w.WriteString(name);
-    w.WriteI64(value);
-  }
-  w.WriteU64(mstate.gauges.size());
-  for (const auto& [name, value] : mstate.gauges) {
-    w.WriteString(name);
-    w.WriteF64(value);
-  }
-  w.WriteU64(mstate.distributions.size());
-  for (const MetricsRegistry::DistributionState& d : mstate.distributions) {
-    w.WriteString(d.name);
-    w.WriteI64(d.count);
-    w.WriteF64(d.mean);
-    w.WriteF64(d.m2);
-    w.WriteF64(d.min);
-    w.WriteF64(d.max);
-    w.WriteF64(d.sum);
-    w.WriteBool(d.has_histogram);
-    if (d.has_histogram) {
-      w.WriteU64(d.hist_counts.size());
-      for (const int64_t count : d.hist_counts) {
-        w.WriteI64(count);
-      }
-      w.WriteI64(d.hist_total);
-      w.WriteI64(d.hist_dropped);
-    }
-  }
-  w.WriteU64(mstate.series.size());
-  for (const auto& [name, points] : mstate.series) {
-    w.WriteString(name);
-    w.WriteU64(points.size());
-    for (const MetricsRegistry::TimePoint& point : points) {
-      w.WriteF64(point.time);
-      w.WriteF64(point.value);
-    }
-  }
-  const TraceEventView events = s.telemetry->trace().events();
-  w.WriteU64(events.size());
-  for (const TraceEventRecord& event : events) {
-    w.WriteF64(event.time);
-    w.WriteU8(static_cast<uint8_t>(event.kind));
-    w.WriteU8(static_cast<uint8_t>(event.layer));
-    w.WriteI64(event.vm);
-    w.WriteI64(event.server);
-    WriteResourceVector(w, event.target);
-    WriteResourceVector(w, event.reclaimed);
-    w.WriteI64(event.outcome);
-  }
+  ar.Nest("tail", TailImage{s.injector != nullptr,
+                            s.injector != nullptr ? s.injector->ExportState()
+                                                  : FaultInjector::State{},
+                            s.predictor.initialized(), s.predictor.mean(),
+                            s.predictor.variance(), s.telemetry->trace().enabled(),
+                            s.telemetry->metrics().ExportState()});
+  ar.Vec("trace_events", s.telemetry->trace().events(), kTraceRecordBytes);
 
   return w.Finish();
 }
@@ -1173,8 +933,10 @@ Result<SimSession> SimSession::RestoreView(std::string_view bytes,
     return Error{opened.error()};
   }
   SnapshotReader& r = opened.value();
+  ReadArchive ar(r);
 
-  ClusterSimConfig config = ReadConfig(r);
+  ClusterSimConfig config;
+  ar.Nest("config", config);
   if (!r.ok()) {
     return Error{r.error()};
   }
@@ -1199,83 +961,71 @@ Result<SimSession> SimSession::RestoreView(std::string_view bytes,
   std::unique_ptr<State> state = BuildCore(config, options.telemetry);
   State& s = *state;
 
-  const bool trace_generated = r.ReadBool();
-  if (trace_generated) {
+  TraceStamp stamp;
+  ar.Nest("trace", stamp);
+  if (r.ok() && stamp.generated) {
     // The trace was elided: the session must run on exactly the arrivals the
     // original session used, proven by the stored length/checksum. Pending
     // arrival events index into this list, so a generator that drifted
     // across builds must fail the restore, not corrupt it. A hinted trace
     // that passes the same test is adopted as is; anything else reruns the
     // generator and verifies its output.
-    const uint64_t trace_size = r.ReadU64();
-    const uint64_t trace_fnv = r.ReadU64();
-    if (r.ok()) {
-      s.trace_generated = true;
-      const std::shared_ptr<const ArrivalTrace>& hint = options.trace;
-      if (hint != nullptr && hint->events.size() == trace_size &&
-          hint->fnv == trace_fnv) {
+    s.trace_generated = true;
+    const std::shared_ptr<const ArrivalTrace>& hint = options.trace;
+    if (hint != nullptr && hint->events.size() == stamp.size &&
+        hint->fnv == stamp.fnv) {
 #ifdef DEFL_CHECK_ACCOUNTING
-        // The hint's checksum is trusted, not recomputed: re-prove it here so
-        // an ArrivalTrace mutated after freezing (or built with a stale fnv)
-        // cannot pass for the snapshot's trace.
-        if (TraceFnv(hint->events) != hint->fnv) {
-          DEFL_LOG(kError) << "adopted arrival trace: events no longer match "
-                              "their checksum";
-          std::abort();
-        }
+      // The hint's checksum is trusted, not recomputed: re-prove it here so
+      // an ArrivalTrace mutated after freezing (or built with a stale fnv)
+      // cannot pass for the snapshot's trace.
+      if (TraceFnv(hint->events) != hint->fnv) {
+        DEFL_LOG(kError) << "adopted arrival trace: events no longer match "
+                            "their checksum";
+        std::abort();
+      }
 #endif
-        s.trace = hint;
-      } else {
-        s.trace = GenerateArrivalTrace(s.config);
-        if (s.trace->events.size() != trace_size || s.trace->fnv != trace_fnv) {
-          r.Fail("snapshot's elided arrival trace cannot be regenerated: the "
-                 "generator produced " +
-                 std::to_string(s.trace->events.size()) +
-                 " arrivals, snapshot recorded " + std::to_string(trace_size) +
-                 " (checksum " +
-                 (s.trace->fnv == trace_fnv ? "matches" : "differs") + ")");
-        }
+      s.trace = hint;
+    } else {
+      s.trace = GenerateArrivalTrace(s.config);
+      if (s.trace->events.size() != stamp.size || s.trace->fnv != stamp.fnv) {
+        r.Fail("snapshot's elided arrival trace cannot be regenerated: the "
+               "generator produced " +
+               std::to_string(s.trace->events.size()) +
+               " arrivals, snapshot recorded " + std::to_string(stamp.size) +
+               " (checksum " + (s.trace->fnv == stamp.fnv ? "matches" : "differs") +
+               ")");
       }
     }
-  } else {
-    const uint64_t trace_size = ReadCount(r, 8 * 2, "trace event");
-    const uint64_t trace_fnv = r.ReadU64();
+  } else if (r.ok()) {
     std::vector<TraceEvent> events;
-    events.reserve(static_cast<size_t>(trace_size));
-    for (uint64_t i = 0; r.ok() && i < trace_size; ++i) {
-      TraceEvent event;
-      event.arrival_s = r.ReadF64();
-      event.lifetime_s = r.ReadF64();
-      event.spec = ReadVmSpec(r);
-      events.push_back(std::move(event));
+    if (ar.Affords("trace.size", stamp.size, 8 * 2)) {
+      events.resize(static_cast<size_t>(stamp.size));
+    }
+    for (TraceEvent& event : events) {
+      if (!r.ok()) {
+        break;
+      }
+      ar.Nest("trace", event);
     }
     // An explicit trace must never be re-sampled: pending arrival events
     // index into exactly this materialized list.
     s.config.explicit_trace = events;
     s.trace = FreezeTrace(std::move(events));
-    if (r.ok() && s.trace->fnv != trace_fnv) {
+    if (r.ok() && s.trace->fnv != stamp.fnv) {
       r.Fail("snapshot's inlined arrival trace fails its checksum");
     }
   }
 
-  s.now = r.ReadF64();
-  s.next_seq = r.ReadI64();
-  s.events_executed = r.ReadI64();
-
-  const uint64_t queue_size = ReadCount(r, 8 * 3 + 1, "queue entry");
-  s.queue.reserve(static_cast<size_t>(queue_size));
-  for (uint64_t i = 0; r.ok() && i < queue_size; ++i) {
-    QueueEntry entry;
-    entry.when = r.ReadF64();
-    entry.seq = r.ReadI64();
-    const uint8_t kind = r.ReadU8();
-    entry.payload = r.ReadI64();
-    if (kind > kMaxEventKind) {
-      r.Fail("snapshot queue entry kind byte " + std::to_string(kind) +
-             " is out of range");
+  LoopImage loop;
+  ar.Nest("loop", loop);
+  s.now = loop.now;
+  s.next_seq = loop.next_seq;
+  s.events_executed = loop.events_executed;
+  s.queue = std::move(loop.queue);
+  for (const QueueEntry& entry : s.queue) {
+    if (!r.ok()) {
       break;
     }
-    entry.kind = static_cast<SimEventKind>(kind);
     // Bound payloads so a logically-inconsistent snapshot cannot index out
     // of range later (the checksum only protects against corruption).
     bool payload_ok = true;
@@ -1306,9 +1056,7 @@ Result<SimSession> SimSession::RestoreView(std::string_view bytes,
     if (!payload_ok) {
       r.Fail("snapshot queue entry payload " + std::to_string(entry.payload) +
              " is out of range for its event kind");
-      break;
     }
-    s.queue.push_back(entry);
   }
   // Rebuild the elided strictly-future arrivals (see SnapshotBytes): arrival
   // i re-enters with its Open-time sequence number, |fault timeline| + i, so
@@ -1327,55 +1075,25 @@ Result<SimSession> SimSession::RestoreView(std::string_view bytes,
   }
   std::make_heap(s.queue.begin(), s.queue.end(), LaterEntry{});
 
-  std::array<uint64_t, 4> rng;
-  for (uint64_t& word : rng) {
-    word = r.ReadU64();
-  }
-  s.manager->RestoreRngState(rng);
-
-  const uint64_t health_size = ReadCount(r, 1, "server health");
-  std::vector<ServerHealth> health;
-  health.reserve(static_cast<size_t>(health_size));
-  for (uint64_t i = 0; r.ok() && i < health_size; ++i) {
-    const uint8_t h = r.ReadU8();
-    if (h > static_cast<uint8_t>(ServerHealth::kRecovering)) {
-      r.Fail("snapshot server health byte " + std::to_string(h) +
-             " is out of range");
-      break;
-    }
-    health.push_back(static_cast<ServerHealth>(h));
-  }
-  if (r.ok() && !s.manager->RestoreHealthStates(health)) {
-    r.Fail("snapshot has " + std::to_string(health.size()) +
+  s.manager->RestoreRngState(loop.rng);
+  if (r.ok() && !s.manager->RestoreHealthStates(loop.health)) {
+    r.Fail("snapshot has " + std::to_string(loop.health.size()) +
            " server health entries for " + std::to_string(config.num_servers) +
            " servers");
   }
+  s.manager->RestorePreempted(std::move(loop.preempted));
 
-  const uint64_t preempted_size = ReadCount(r, 8, "pending preemption");
-  std::vector<VmId> preempted;
-  preempted.reserve(static_cast<size_t>(preempted_size));
-  for (uint64_t i = 0; r.ok() && i < preempted_size; ++i) {
-    preempted.push_back(r.ReadI64());
-  }
-  s.manager->RestorePreempted(std::move(preempted));
-
-  const uint64_t server_count = ReadCount(r, 8, "server");
+  const uint64_t server_count = ar.Count("servers", 8);
   if (r.ok() && server_count != static_cast<uint64_t>(config.num_servers)) {
     r.Fail("snapshot has " + std::to_string(server_count) +
            " server sections for " + std::to_string(config.num_servers) +
            " servers");
   }
   for (uint64_t server_id = 0; r.ok() && server_id < server_count; ++server_id) {
-    const uint64_t vm_count = ReadCount(r, 8, "hosted VM");
+    const uint64_t vm_count = ar.Count("vms", 8);
     for (uint64_t i = 0; r.ok() && i < vm_count; ++i) {
-      const VmId id = r.ReadI64();
-      VmSpec spec = ReadVmSpec(r);
-      const ResourceVector hv_reclaimed = ReadResourceVector(r);
-      const ResourceVector unplugged = ReadResourceVector(r);
-      const double balloon_mb = r.ReadF64();
-      const double app_used_mb = r.ReadF64();
-      const double page_cache_mb = r.ReadF64();
-      const int64_t pinned_cpus = r.ReadI64();
+      VmImage image;
+      ar.Nest("vm", image);
       if (!r.ok()) {
         break;
       }
@@ -1384,130 +1102,44 @@ Result<SimSession> SimSession::RestoreView(std::string_view bytes,
       // snapshotting run already took). Adoption in (server, hosting) order
       // replays the admission order, so per-server accounting caches
       // recompute to the exact same folds.
-      auto vm = std::make_unique<Vm>(id, std::move(spec));
-      vm->guest_os().set_app_used_mb(app_used_mb);
-      vm->guest_os().set_page_cache_mb(page_cache_mb);
-      vm->guest_os().set_pinned_cpus(static_cast<int>(pinned_cpus));
-      vm->guest_os().RestoreDeflationState(unplugged, balloon_mb);
-      vm->RestoreHvReclaimed(hv_reclaimed);
+      auto vm = std::make_unique<Vm>(image.id, std::move(image.spec));
+      vm->guest_os().set_app_used_mb(image.app_used_mb);
+      vm->guest_os().set_page_cache_mb(image.page_cache_mb);
+      vm->guest_os().set_pinned_cpus(image.pinned_cpus);
+      vm->guest_os().RestoreDeflationState(image.unplugged, image.balloon_mb);
+      vm->RestoreHvReclaimed(image.hv_reclaimed);
       s.manager->AdoptVm(std::move(vm), static_cast<ServerId>(server_id));
     }
   }
 
-  const bool has_injector = r.ReadBool();
-  if (r.ok() && has_injector != (s.injector != nullptr)) {
+  TailImage tail;
+  ar.Nest("tail", tail);
+  if (r.ok() && tail.has_injector != (s.injector != nullptr)) {
     r.Fail("snapshot fault-injector presence does not match its fault plan");
   }
-  if (r.ok() && has_injector) {
-    FaultInjector::State fstate;
-    const uint64_t site_count = ReadCount(r, 1 + 8 * 3, "fault site");
-    fstate.site_draws.reserve(static_cast<size_t>(site_count));
-    for (uint64_t i = 0; r.ok() && i < site_count; ++i) {
-      const uint8_t kind = r.ReadU8();
-      const int64_t vm = r.ReadI64();
-      const int64_t server = r.ReadI64();
-      const uint64_t draws = r.ReadU64();
-      fstate.site_draws.emplace_back(kind, vm, server, draws);
-    }
-    const uint64_t fire_count = ReadCount(r, 8, "rule fire");
-    fstate.rule_fires.reserve(static_cast<size_t>(fire_count));
-    for (uint64_t i = 0; r.ok() && i < fire_count; ++i) {
-      fstate.rule_fires.push_back(r.ReadI64());
-    }
-    for (int64_t& count : fstate.injected) {
-      count = r.ReadI64();
-    }
-    if (r.ok()) {
-      const Result<bool> imported = s.injector->ImportState(fstate);
-      if (!imported.ok()) {
-        r.Fail(imported.error());
-      }
+  if (r.ok() && tail.has_injector) {
+    const Result<bool> imported = s.injector->ImportState(tail.injector);
+    if (!imported.ok()) {
+      r.Fail(imported.error());
     }
   }
-
-  const bool predictor_initialized = r.ReadBool();
-  const double predictor_mean = r.ReadF64();
-  const double predictor_var = r.ReadF64();
-  s.predictor.RestoreState(predictor_initialized, predictor_mean, predictor_var);
-
-  const bool trace_enabled = r.ReadBool();
-  MetricsRegistry::State mstate;
-  const uint64_t counter_count = ReadCount(r, 8 * 2, "counter");
-  for (uint64_t i = 0; r.ok() && i < counter_count; ++i) {
-    std::string name = r.ReadString();
-    const int64_t value = r.ReadI64();
-    mstate.counters.emplace_back(std::move(name), value);
-  }
-  const uint64_t gauge_count = ReadCount(r, 8 * 2, "gauge");
-  for (uint64_t i = 0; r.ok() && i < gauge_count; ++i) {
-    std::string name = r.ReadString();
-    const double value = r.ReadF64();
-    mstate.gauges.emplace_back(std::move(name), value);
-  }
-  const uint64_t dist_count = ReadCount(r, 8 * 7 + 1, "distribution");
-  for (uint64_t i = 0; r.ok() && i < dist_count; ++i) {
-    MetricsRegistry::DistributionState d;
-    d.name = r.ReadString();
-    d.count = r.ReadI64();
-    d.mean = r.ReadF64();
-    d.m2 = r.ReadF64();
-    d.min = r.ReadF64();
-    d.max = r.ReadF64();
-    d.sum = r.ReadF64();
-    d.has_histogram = r.ReadBool();
-    if (d.has_histogram) {
-      const uint64_t bins = ReadCount(r, 8, "histogram bin");
-      d.hist_counts.reserve(static_cast<size_t>(bins));
-      for (uint64_t b = 0; r.ok() && b < bins; ++b) {
-        d.hist_counts.push_back(r.ReadI64());
-      }
-      d.hist_total = r.ReadI64();
-      d.hist_dropped = r.ReadI64();
-    }
-    mstate.distributions.push_back(std::move(d));
-  }
-  const uint64_t series_count = ReadCount(r, 8 * 2, "series");
-  for (uint64_t i = 0; r.ok() && i < series_count; ++i) {
-    std::string name = r.ReadString();
-    const uint64_t point_count = ReadCount(r, 8 * 2, "series point");
-    std::vector<MetricsRegistry::TimePoint> points;
-    points.reserve(static_cast<size_t>(point_count));
-    for (uint64_t p = 0; r.ok() && p < point_count; ++p) {
-      MetricsRegistry::TimePoint point;
-      point.time = r.ReadF64();
-      point.value = r.ReadF64();
-      points.push_back(point);
-    }
-    mstate.series.emplace_back(std::move(name), std::move(points));
-  }
+  s.predictor.RestoreState(tail.predictor_initialized, tail.predictor_mean,
+                           tail.predictor_variance);
   if (r.ok()) {
     // Wholesale value overwrite: erases the junk telemetry the adoption path
     // emitted above and reinstates every counter/gauge/distribution/series
     // exactly. Rejects a registry whose layout differs from the snapshot
     // (e.g. a RestoreOptions::telemetry context that was not fresh).
-    const Result<bool> imported = s.telemetry->metrics().ImportState(mstate);
+    const Result<bool> imported = s.telemetry->metrics().ImportState(tail.metrics);
     if (!imported.ok()) {
       r.Fail(imported.error());
     }
   }
 
-  const uint64_t event_count = ReadCount(r, 8 * 12 + 2, "trace record");
   std::vector<TraceEventRecord> events;
-  events.reserve(static_cast<size_t>(event_count));
-  for (uint64_t i = 0; r.ok() && i < event_count; ++i) {
-    TraceEventRecord event;
-    event.time = r.ReadF64();
-    event.kind = static_cast<TraceEventKind>(r.ReadU8());
-    event.layer = static_cast<CascadeLayer>(r.ReadU8());
-    event.vm = r.ReadI64();
-    event.server = r.ReadI64();
-    event.target = ReadResourceVector(r);
-    event.reclaimed = ReadResourceVector(r);
-    event.outcome = static_cast<int32_t>(r.ReadI64());
-    events.push_back(event);
-  }
+  ar.Vec("trace_events", events, kTraceRecordBytes);
   if (r.ok()) {
-    s.telemetry->trace().set_enabled(trace_enabled);
+    s.telemetry->trace().set_enabled(tail.trace_enabled);
     s.telemetry->trace().RestoreEvents(std::move(events));
   }
 

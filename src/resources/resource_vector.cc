@@ -6,20 +6,6 @@
 
 namespace defl {
 
-const char* ResourceKindName(ResourceKind kind) {
-  switch (kind) {
-    case ResourceKind::kCpu:
-      return "cpu";
-    case ResourceKind::kMemory:
-      return "memory";
-    case ResourceKind::kDiskBw:
-      return "disk_bw";
-    case ResourceKind::kNetBw:
-      return "net_bw";
-  }
-  return "?";
-}
-
 ResourceVector ResourceVector::operator+(const ResourceVector& o) const {
   ResourceVector r = *this;
   r += o;

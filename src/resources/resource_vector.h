@@ -17,7 +17,21 @@ inline constexpr int kNumResources = 4;
 inline constexpr std::array<ResourceKind, kNumResources> kAllResources = {
     ResourceKind::kCpu, ResourceKind::kMemory, ResourceKind::kDiskBw, ResourceKind::kNetBw};
 
-const char* ResourceKindName(ResourceKind kind);
+// Inline so a snapshot writer, which ignores field names, compiles the call
+// away.
+constexpr const char* ResourceKindName(ResourceKind kind) {
+  switch (kind) {
+    case ResourceKind::kCpu:
+      return "cpu";
+    case ResourceKind::kMemory:
+      return "memory";
+    case ResourceKind::kDiskBw:
+      return "disk_bw";
+    case ResourceKind::kNetBw:
+      return "net_bw";
+  }
+  return "?";
+}
 
 class ResourceVector {
  public:

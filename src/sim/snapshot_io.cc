@@ -19,34 +19,12 @@ uint64_t SnapshotFnv1a64(const char* data, size_t size) {
 
 namespace {
 
-// Little-endian encodings shared by the writer and the digest, so both see
-// the same bytes for the same value.
 std::array<char, 4> U32Le(uint32_t v) {
   std::array<char, 4> out;
   for (int i = 0; i < 4; ++i) {
     out[i] = static_cast<char>((v >> (8 * i)) & 0xff);
   }
   return out;
-}
-
-std::array<char, 8> U64Le(uint64_t v) {
-  std::array<char, 8> out;
-  for (int i = 0; i < 8; ++i) {
-    out[i] = static_cast<char>((v >> (8 * i)) & 0xff);
-  }
-  return out;
-}
-
-uint64_t F64Bits(double v) {
-  uint64_t bits = 0;
-  static_assert(sizeof(bits) == sizeof(v));
-  std::memcpy(&bits, &v, sizeof(bits));
-  return bits;
-}
-
-void AppendU64Le(std::string& out, uint64_t v) {
-  const std::array<char, 8> le = U64Le(v);
-  out.append(le.data(), le.size());
 }
 
 uint64_t LoadU64Le(const char* p) {
@@ -61,69 +39,28 @@ uint64_t LoadU64Le(const char* p) {
 
 SnapshotWriter::SnapshotWriter() {
   bytes_.append(kSnapshotMagic, sizeof(kSnapshotMagic));
-  WriteU32(kSnapshotFormatVersion);
-}
-
-void SnapshotWriter::WriteU8(uint8_t v) {
-  assert(!finished_);
-  bytes_.push_back(static_cast<char>(v));
-}
-
-void SnapshotWriter::WriteU32(uint32_t v) {
-  assert(!finished_);
-  const std::array<char, 4> le = U32Le(v);
-  bytes_.append(le.data(), le.size());
-}
-
-void SnapshotWriter::WriteU64(uint64_t v) {
-  assert(!finished_);
-  AppendU64Le(bytes_, v);
-}
-
-void SnapshotWriter::WriteF64(double v) { WriteU64(F64Bits(v)); }
-
-void SnapshotWriter::WriteString(const std::string& s) {
-  WriteU64(s.size());
-  assert(!finished_);
-  bytes_.append(s);
+  const std::array<char, 4> version = U32Le(kSnapshotFormatVersion);
+  bytes_.append(version.data(), version.size());
 }
 
 std::string SnapshotWriter::Finish() {
   assert(!finished_);
   finished_ = true;
-  AppendU64Le(bytes_, SnapshotFnv1a64(bytes_.data(), bytes_.size()));
+  const std::array<char, 8> footer =
+      U64Le(SnapshotFnv1a64(bytes_.data(), bytes_.size()));
+  bytes_.append(footer.data(), footer.size());
   return std::move(bytes_);
 }
 
 SnapshotDigest::SnapshotDigest() {
   fnv_.Update(kSnapshotMagic, sizeof(kSnapshotMagic));
-  WriteU32(kSnapshotFormatVersion);
-}
-
-void SnapshotDigest::WriteU8(uint8_t v) {
-  const char c = static_cast<char>(v);
-  fnv_.Update(&c, 1);
-}
-
-void SnapshotDigest::WriteU32(uint32_t v) {
-  const std::array<char, 4> le = U32Le(v);
-  fnv_.Update(le.data(), le.size());
-}
-
-void SnapshotDigest::WriteU64(uint64_t v) {
-  const std::array<char, 8> le = U64Le(v);
-  fnv_.Update(le.data(), le.size());
-}
-
-void SnapshotDigest::WriteF64(double v) { WriteU64(F64Bits(v)); }
-
-void SnapshotDigest::WriteString(const std::string& s) {
-  WriteU64(s.size());
-  fnv_.Update(s.data(), s.size());
+  const std::array<char, 4> version = U32Le(kSnapshotFormatVersion);
+  fnv_.Update(version.data(), version.size());
 }
 
 uint64_t SnapshotDigest::Finish() {
-  WriteU64(fnv_.digest());
+  const std::array<char, 8> footer = U64Le(fnv_.digest());
+  fnv_.Update(footer.data(), footer.size());
   return fnv_.digest();
 }
 
@@ -223,19 +160,6 @@ uint8_t SnapshotReader::ReadU8() {
     return 0;
   }
   return static_cast<uint8_t>(bytes_[pos_++]);
-}
-
-uint32_t SnapshotReader::ReadU32() {
-  if (!Need(4)) {
-    return 0;
-  }
-  uint32_t v = 0;
-  for (int i = 0; i < 4; ++i) {
-    v |= static_cast<uint32_t>(static_cast<unsigned char>(bytes_[pos_ + i]))
-         << (8 * i);
-  }
-  pos_ += 4;
-  return v;
 }
 
 uint64_t SnapshotReader::ReadU64() {

@@ -13,6 +13,8 @@
 #ifndef SRC_SIM_SNAPSHOT_IO_H_
 #define SRC_SIM_SNAPSHOT_IO_H_
 
+#include <array>
+#include <cassert>
 #include <cstdint>
 #include <string>
 #include <string_view>
@@ -42,6 +44,16 @@ class Fnv1a64Hasher {
 // tool output with; here it is the snapshot integrity footer).
 uint64_t SnapshotFnv1a64(const char* data, size_t size);
 
+// The little-endian bytes of `v`: every u64, i64 and f64 field, length
+// prefix and footer.
+inline std::array<char, 8> U64Le(uint64_t v) {
+  std::array<char, 8> out;
+  for (int i = 0; i < 8; ++i) {
+    out[i] = static_cast<char>((v >> (8 * i)) & 0xff);
+  }
+  return out;
+}
+
 inline constexpr char kSnapshotMagic[8] = {'D', 'E', 'F', 'L', 'S', 'N', 'A', 'P'};
 // Version history:
 //   1 -- initial SimSession format (PR 5).
@@ -51,20 +63,19 @@ inline constexpr char kSnapshotMagic[8] = {'D', 'E', 'F', 'L', 'S', 'N', 'A', 'P
 //   4 -- ClusterSimConfig carries the InteractiveSloConfig workload mix.
 inline constexpr uint32_t kSnapshotFormatVersion = 4;
 
-// Append-only typed encoder. Build the payload with the typed writers, then
-// Finish() seals the header + footer and returns the full blob.
+// The two byte sinks a WriteArchive (src/sim/snapshot_archive.h) encodes
+// typed fields into. The constructor takes in the header; Finish() folds in
+// the footer.
+//
+// SnapshotWriter builds the blob.
 class SnapshotWriter {
  public:
   SnapshotWriter();
 
-  void WriteU8(uint8_t v);
-  void WriteU32(uint32_t v);
-  void WriteU64(uint64_t v);
-  void WriteI64(int64_t v) { WriteU64(static_cast<uint64_t>(v)); }
-  void WriteBool(bool v) { WriteU8(v ? 1 : 0); }
-  // IEEE-754 bit pattern: bit-exact round-trip.
-  void WriteF64(double v);
-  void WriteString(const std::string& s);
+  void Append(const char* data, size_t size) {
+    assert(!finished_);
+    bytes_.append(data, size);
+  }
 
   // Seals and returns the blob (header + payload + FNV-1a footer). The
   // writer must not be reused afterwards.
@@ -75,19 +86,14 @@ class SnapshotWriter {
   bool finished_ = false;
 };
 
-// The FNV-1a-64 of the blob a SnapshotWriter would Finish() given the same
-// writes -- header, payload and footer -- computed without materialising the
-// blob. Same typed interface as the writer, so one templated serializer can
-// drive either and the hashed bytes cannot drift from the written ones.
+// SnapshotDigest computes the FNV-1a-64 of the blob a SnapshotWriter would
+// Finish() given the same appends -- header, payload and footer -- without
+// materialising it, so the hashed bytes cannot drift from the written ones.
 class SnapshotDigest {
  public:
   SnapshotDigest();
 
-  void WriteU8(uint8_t v);
-  void WriteU32(uint32_t v);
-  void WriteU64(uint64_t v);
-  void WriteF64(double v);
-  void WriteString(const std::string& s);
+  void Append(const char* data, size_t size) { fnv_.Update(data, size); }
 
   // Folds in the footer (the little-endian running hash, as Finish() appends
   // it) and returns the digest. The object must not be reused afterwards.
@@ -124,7 +130,6 @@ class SnapshotReader {
   // Typed reads. After any failure ok() turns false and every later read
   // returns a zero value; callers check ok()/error() once per section.
   uint8_t ReadU8();
-  uint32_t ReadU32();
   uint64_t ReadU64();
   int64_t ReadI64() { return static_cast<int64_t>(ReadU64()); }
   bool ReadBool() { return ReadU8() != 0; }

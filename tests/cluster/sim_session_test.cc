@@ -251,24 +251,5 @@ TEST(SimSessionTest, RestoreRejectsUsedTelemetryContext) {
       << restored.error();
 }
 
-TEST(SimSessionTest, DeprecatedOverloadStillRoutesThroughConfigSink) {
-  // The shim must behave exactly like setting ClusterSimConfig::telemetry.
-  TelemetryContext via_overload;
-  TelemetryContext via_config;
-#if defined(__GNUC__)
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
-#endif
-  const ClusterSimResult a = RunClusterSim(SmallSim(), &via_overload);
-#if defined(__GNUC__)
-#pragma GCC diagnostic pop
-#endif
-  ClusterSimConfig config = SmallSim();
-  config.telemetry = &via_config;
-  const ClusterSimResult b = RunClusterSim(config);
-  EXPECT_EQ(a.counters.launched, b.counters.launched);
-  EXPECT_EQ(Export(via_overload), Export(via_config));
-}
-
 }  // namespace
 }  // namespace defl
