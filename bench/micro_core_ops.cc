@@ -220,11 +220,11 @@ void BM_PlacementScanFleetView(benchmark::State& state) {
 }
 BENCHMARK(BM_PlacementScanFleetView)->Arg(1000)->Arg(10000)->Arg(100000);
 
-// The saturated case the block summaries target (DESIGN.md §12): every
-// server hosts 7 or 8 of its 8 VM slots, and a first-fit free-only probe
-// for 8 cores misses on every row. Each probe used to test every row; now it
-// tests one summary per 64-row block. Same items/s and ns/probe convention
-// as above.
+// The saturated case the max-tree targets (DESIGN.md §12): every server
+// hosts 7 or 8 of its 8 VM slots, and a first-fit free-only probe for 8
+// cores misses on every row. The scan climbs past whole tree nodes, so a
+// miss tests O(log n) nodes instead of every row or every 64-row block.
+// Same items/s and ns/probe convention as above; CI gates the 100k point.
 void BM_PlacementScanFleetViewSaturated(benchmark::State& state) {
   const int n = static_cast<int>(state.range(0));
   PlacementScanFixture fx(n, /*min_vms=*/7, /*max_vms=*/8);
@@ -239,6 +239,32 @@ void BM_PlacementScanFleetViewSaturated(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * n);
 }
 BENCHMARK(BM_PlacementScanFleetViewSaturated)->Arg(1000)->Arg(10000)->Arg(100000);
+
+// The upkeep after one VM change (DESIGN.md §12), on the same saturated
+// fleet: a random server's first VM has one core reclaimed by the
+// hypervisor (or given back, if it already was), then Refresh() refolds that
+// server's accounting, re-mirrors its row and brings the max-tree above it
+// up to date. One row is refreshed per iteration, so time/iteration is ns
+// per refreshed row.
+void BM_FleetViewRefresh(benchmark::State& state) {
+  const int n = static_cast<int>(state.range(0));
+  PlacementScanFixture fx(n, /*min_vms=*/7, /*max_vms=*/8);
+  Rng rng(11);
+  const ResourceVector core(1.0, 0.0);
+  for (auto _ : state) {
+    const auto row = static_cast<size_t>(rng.UniformInt(0, n - 1));
+    Vm& vm = *fx.servers[row]->vms().front();
+    if (vm.hv_reclaimed().IsZero()) {
+      vm.HvReclaim(core);
+    } else {
+      vm.HvRelease(core);
+    }
+    fx.fleet.Refresh();
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_FleetViewRefresh)->Arg(1000)->Arg(10000)->Arg(100000);
 
 void BM_ZipfHeadFraction(benchmark::State& state) {
   const int64_t n = state.range(0);

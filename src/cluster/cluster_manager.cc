@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <cstdlib>
 
 #include "src/common/logging.h"
 
@@ -183,8 +184,7 @@ ClusterManager::PlaceOutcome ClusterManager::TryPlace(std::unique_ptr<Vm>& vm) {
   if (faults_ != nullptr) {
     vm->guest_os().AttachFaultInjector(faults_, vm->id());
   }
-  server.AddVm(std::move(vm));
-  vm_index_[vm_id] = index;
+  vm_index_[vm_id] = VmSlot{index, server.AddVm(std::move(vm))};
   out.ok = true;
   return out;
 }
@@ -252,7 +252,7 @@ void ClusterManager::CompleteVm(VmId id) {
   if (it == vm_index_.end()) {
     return;
   }
-  const size_t i = it->second;
+  const size_t i = it->second.server;
   Server& server = *servers_[i];
   std::unique_ptr<Vm> vm = server.RemoveVm(id);
   assert(vm != nullptr);
@@ -269,12 +269,23 @@ void ClusterManager::CompleteVm(VmId id) {
 
 Vm* ClusterManager::FindVm(VmId id) {
   const auto it = vm_index_.find(id);
-  return it != vm_index_.end() ? servers_[it->second]->FindVm(id) : nullptr;
+  if (it == vm_index_.end()) {
+    return nullptr;
+  }
+#ifdef DEFL_CHECK_ACCOUNTING
+  // Compares pointers only: a stale slot must be reported, not dereferenced.
+  if (servers_[it->second.server]->FindVm(id) != it->second.vm) {
+    DEFL_LOG(kError) << "VM " << id << ": index slot disagrees with server "
+                     << it->second.server << " (removed without ForgetVm)";
+    std::abort();
+  }
+#endif
+  return it->second.vm;
 }
 
 Server* ClusterManager::ServerOf(VmId id) {
   const auto it = vm_index_.find(id);
-  return it != vm_index_.end() ? servers_[it->second].get() : nullptr;
+  return it != vm_index_.end() ? servers_[it->second.server].get() : nullptr;
 }
 
 std::vector<VmId> ClusterManager::TakePreempted() {
@@ -303,8 +314,8 @@ void ClusterManager::AdoptVm(std::unique_ptr<Vm> vm, ServerId server) {
   if (faults_ != nullptr) {
     vm->guest_os().AttachFaultInjector(faults_, id);
   }
-  servers_[static_cast<size_t>(index)]->AddVm(std::move(vm));
-  vm_index_[id] = static_cast<size_t>(index);
+  vm_index_[id] = VmSlot{static_cast<size_t>(index),
+                        servers_[static_cast<size_t>(index)]->AddVm(std::move(vm))};
 }
 
 bool ClusterManager::RestoreHealthStates(const std::vector<ServerHealth>& health) {

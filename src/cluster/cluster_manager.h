@@ -88,11 +88,12 @@ class ClusterManager {
   Result<ServerId> LaunchVm(std::unique_ptr<Vm> vm);
 
   // Normal completion: the VM leaves and its server reinflates.
-  // O(hosted VMs on one server) via the VM index.
+  // O(hosted VMs on one server) via the VM index. A VM no longer hosted
+  // (preempted, or lost in a crash) is a no-op.
   void CompleteVm(VmId id);
 
-  // O(1) lookups backed by the VmId -> server index map, which is kept
-  // coherent by every placement/removal path in this class.
+  // O(1) lookups backed by the VmId -> (server index, Vm*) map, which is
+  // kept coherent by every placement/removal path in this class.
   Vm* FindVm(VmId id);
   Server* ServerOf(VmId id);
   std::vector<Server*> servers();
@@ -263,8 +264,14 @@ class ClusterManager {
   // touch the allocator.
   ShardScratch<double> hp_cpu_scratch_;
   std::vector<ReinflatePlan> reinflate_plans_;
-  // VmId -> index into servers_/controllers_ for every hosted VM.
-  std::unordered_map<VmId, size_t> vm_index_;
+  // Every hosted VM: its index into servers_/controllers_ and the VM itself
+  // (owned by that server, so the pointer lives exactly as long as the
+  // entry).
+  struct VmSlot {
+    size_t server;
+    Vm* vm;
+  };
+  std::unordered_map<VmId, VmSlot> vm_index_;
   FaultInjector* faults_ = nullptr;
 
   TelemetryContext* telemetry_ = nullptr;

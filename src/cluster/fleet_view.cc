@@ -28,11 +28,22 @@ void FleetView::Bind(const std::vector<std::unique_ptr<Server>>& servers) {
   for (auto& col : preemptible_) col.resize(count_);
   for (auto& col : nominal_) col.resize(count_);
   eligible_.assign(count_, 1);
-  // NaN until the first Refresh() summarises each block: never skippable.
-  BlockMax unsummarised;
-  unsummarised.fill(std::numeric_limits<double>::quiet_NaN());
-  for (auto& blocks : block_max_) blocks.assign(num_blocks(), unsummarised);
-  for (auto& blocks : block_holders_) blocks.assign(num_blocks(), BlockHolders{});
+  // Levels up to the first whose single node covers every row, and at least
+  // up to the blocks the scan tests.
+  top_level_ = kBlockLevel;
+  while (count_ > (size_t{1} << top_level_)) {
+    ++top_level_;
+  }
+  level_offset_.assign(static_cast<size_t>(top_level_) + 1, 0);
+  size_t nodes = 0;
+  for (int level = 1; level <= top_level_; ++level) {
+    level_offset_[level] = nodes;
+    nodes += LevelSize(level);
+  }
+  // NaN until the first Refresh() builds the tree: never skippable.
+  BlockMax unbuilt;
+  unbuilt.fill(std::numeric_limits<double>::quiet_NaN());
+  for (auto& tree : tree_) tree.assign(nodes, unbuilt);
   dirty_.assign(count_, 0);
   dirty_rows_.clear();
   dirty_rows_.reserve(count_);
@@ -86,101 +97,85 @@ constexpr auto kFree = static_cast<size_t>(AvailabilityMode::kFreeOnly);
 constexpr auto kDeflatable = static_cast<size_t>(AvailabilityMode::kFreePlusDeflatable);
 constexpr auto kPreemptible = static_cast<size_t>(AvailabilityMode::kFreePlusPreemptible);
 
+// The larger of two maxima, NaN when either is NaN (a NaN availability
+// passes the scan's per-row test, so no node above it may be skipped on
+// that dimension).
+double NanMax(double a, double b) { return (a > b || a != a) ? a : b; }
+
 }  // namespace
 
-FleetView::BlockSummary FleetView::ComputeBlockSummary(size_t block) const {
-  const size_t begin = block * kBlockRows;
-  const size_t end = std::min(begin + kBlockRows, count_);
-  BlockSummary out{};
-  for (BlockMax& max : out.max) {
-    max.fill(-std::numeric_limits<double>::infinity());
+FleetView::NodeMax FleetView::ReadAvailability(size_t row) const {
+  NodeMax out;
+  for (size_t k = 0; k < kNumResources; ++k) {
+    const double free = free_[k][row];
+    // + 0.0 turns -0.0 into +0.0: a node's bits must not depend on which of
+    // two equal children it copied.
+    out.mode[kFree][k] = free + 0.0;
+    out.mode[kDeflatable][k] = (free + deflatable_[k][row]) + 0.0;
+    out.mode[kPreemptible][k] = (free + preemptible_[k][row]) + 0.0;
   }
-  bool has_nan = false;
-  for (size_t row = begin; row < end; ++row) {
-    BlockMax availability[kNumAvailabilityModes];
-    ReadAvailability(row, availability);
+  return out;
+}
+
+FleetView::NodeMax FleetView::StoredNode(int level, size_t node) const {
+  NodeMax out;
+  for (size_t mode = 0; mode < kNumAvailabilityModes; ++mode) {
+    out.mode[mode] = tree_[mode][level_offset_[level] + node];
+  }
+  return out;
+}
+
+void FleetView::StoreNode(int level, size_t node, const NodeMax& value) {
+  for (size_t mode = 0; mode < kNumAvailabilityModes; ++mode) {
+    tree_[mode][level_offset_[level] + node] = value.mode[mode];
+  }
+}
+
+FleetView::NodeMax FleetView::ComputeNode(int level, size_t node) const {
+  const auto child = [&](size_t index) {
+    return level == 1 ? ReadAvailability(index) : StoredNode(level - 1, index);
+  };
+  NodeMax out = child(2 * node);
+  if (2 * node + 1 < LevelSize(level - 1)) {
+    const NodeMax right = child(2 * node + 1);
     for (size_t mode = 0; mode < kNumAvailabilityModes; ++mode) {
       for (size_t k = 0; k < kNumResources; ++k) {
-        const double value = availability[mode][k];
-        has_nan |= value != value;
-        out.max[mode][k] = value > out.max[mode][k] ? value : out.max[mode][k];
-      }
-    }
-  }
-  if (has_nan) {
-    for (BlockMax& max : out.max) {
-      max.fill(std::numeric_limits<double>::quiet_NaN());
-    }
-    return out;  // no holders: the next change to the block recomputes it
-  }
-  for (BlockMax& max : out.max) {
-    for (double& value : max) {
-      value += 0.0;  // -0.0 -> +0.0: the bits must not depend on row order
-    }
-  }
-  for (size_t row = begin; row < end; ++row) {
-    BlockMax availability[kNumAvailabilityModes];
-    ReadAvailability(row, availability);
-    for (size_t mode = 0; mode < kNumAvailabilityModes; ++mode) {
-      for (size_t k = 0; k < kNumResources; ++k) {
-        out.holders[mode][k] += availability[mode][k] == out.max[mode][k] ? 1 : 0;
+        out.mode[mode][k] = NanMax(out.mode[mode][k], right.mode[mode][k]);
       }
     }
   }
   return out;
 }
 
-void FleetView::RefreshBlock(size_t block) {
-  const BlockSummary summary = ComputeBlockSummary(block);
-  for (size_t mode = 0; mode < kNumAvailabilityModes; ++mode) {
-    block_max_[mode][block] = summary.max[mode];
-    block_holders_[mode][block] = summary.holders[mode];
+bool FleetView::NodeCurrent(int level, size_t node, const NodeMax& fresh) const {
+  const NodeMax stored = StoredNode(level, node);
+  return std::memcmp(&fresh, &stored, sizeof(NodeMax)) == 0;
+}
+
+void FleetView::UpdateAncestors(size_t row) {
+  size_t node = row >> 1;
+  for (int level = 1; level <= top_level_; ++level, node >>= 1) {
+    const NodeMax fresh = ComputeNode(level, node);
+    if (NodeCurrent(level, node, fresh)) {
+      return;  // every node above is a function of this one and its siblings
+    }
+    StoreNode(level, node, fresh);
   }
 }
 
-bool FleetView::BlockConsistent(size_t block) const {
-  const BlockSummary expected = ComputeBlockSummary(block);
-  for (size_t mode = 0; mode < kNumAvailabilityModes; ++mode) {
-    if (std::memcmp(expected.max[mode].data(), block_max_[mode][block].data(),
-                    sizeof(BlockMax)) != 0 ||
-        expected.holders[mode] != block_holders_[mode][block]) {
-      return false;
+void FleetView::RebuildTree() {
+  for (int level = 1; level <= top_level_; ++level) {
+    for (size_t node = 0; node < LevelSize(level); ++node) {
+      StoreNode(level, node, ComputeNode(level, node));
     }
   }
-  return true;
 }
 
-void FleetView::ReadAvailability(size_t row,
-                                 BlockMax (&out)[kNumAvailabilityModes]) const {
-  for (size_t k = 0; k < kNumResources; ++k) {
-    const double free = free_[k][row];
-    out[kFree][k] = free;
-    out[kDeflatable][k] = free + deflatable_[k][row];
-    out[kPreemptible][k] = free + preemptible_[k][row];
-  }
-}
-
-bool FleetView::FoldRowIntoBlock(size_t row,
-                                 const BlockMax (&before)[kNumAvailabilityModes]) {
-  BlockMax after[kNumAvailabilityModes];
-  ReadAvailability(row, after);
-  const size_t block = row / kBlockRows;
-  for (size_t mode = 0; mode < kNumAvailabilityModes; ++mode) {
-    BlockMax& max = block_max_[mode][block];
-    BlockHolders& holders = block_holders_[mode][block];
-    for (size_t k = 0; k < kNumResources; ++k) {
-      const double was = before[mode][k];
-      const double now = after[mode][k];
-      if (now != now || max[k] != max[k]) {
-        return false;  // NaN enters or may leave the block
-      }
-      if (now > max[k]) {
-        max[k] = now + 0.0;  // a new maximum, normalized as in a recompute
-        holders[k] = 1;
-      } else if (now == max[k]) {
-        holders[k] += was == max[k] ? 0 : 1;
-      } else if (was == max[k] && --holders[k] == 0) {
-        return false;  // the last row holding the maximum fell below it
+bool FleetView::TreeConsistent() const {
+  for (int level = 1; level <= top_level_; ++level) {
+    for (size_t node = 0; node < LevelSize(level); ++node) {
+      if (!NodeCurrent(level, node, ComputeNode(level, node))) {
+        return false;
       }
     }
   }
@@ -191,60 +186,33 @@ void FleetView::Refresh() {
   if (dirty_rows_.empty()) {
     return;
   }
-  // Rows refresh in ascending order, so each block's dirty rows are
-  // contiguous in the walk. A row's change is folded into its block's
-  // summary in place while that is exact; otherwise the block is
-  // recomputed once, when the walk leaves it. Either way the summary
-  // equals a recompute from the refreshed columns.
-  size_t open_block = SIZE_MAX;
-  bool open_stale = false;
-  const auto refresh = [&](size_t row) {
-    const size_t block = row / kBlockRows;
-    if (block != open_block) {
-      if (open_stale) {
-        RefreshBlock(open_block);
-      }
-      open_block = block;
-      open_stale = false;
-    }
-    BlockMax before[kNumAvailabilityModes];
-    if (!open_stale) {
-      ReadAvailability(row, before);
-    }
-    RefreshRow(row);
-    dirty_[row] = 0;
-    if (!open_stale) {
-      open_stale = !FoldRowIntoBlock(row, before);
-    }
-  };
   // Canonical ascending order regardless of mutation arrival order. When
   // most rows are dirty (initial bind, post-restore) a bitmap sweep beats
-  // sorting a near-full permutation.
+  // sorting a near-full permutation, and one bottom-up rebuild beats
+  // walking each row's ancestors.
   if (dirty_rows_.size() >= count_ / 4 + 1) {
     for (size_t row = 0; row < count_; ++row) {
       if (dirty_[row] != 0) {
-        refresh(row);
+        RefreshRow(row);
+        dirty_[row] = 0;
       }
     }
+    RebuildTree();
   } else {
     std::sort(dirty_rows_.begin(), dirty_rows_.end());
     for (const uint32_t row : dirty_rows_) {
-      refresh(row);
+      RefreshRow(row);
+      dirty_[row] = 0;
+      UpdateAncestors(row);
     }
-  }
-  if (open_stale) {
-    RefreshBlock(open_block);
   }
   dirty_rows_.clear();
 #ifdef DEFL_CHECK_ACCOUNTING
-  // Every block, not only the ones just touched: a column written outside
-  // Refresh() would leave some other block's summary stale.
-  for (size_t block = 0; block < num_blocks(); ++block) {
-    if (!BlockConsistent(block)) {
-      DEFL_LOG(kError) << "fleet view block " << block
-                       << ": summary drifted from recompute";
-      std::abort();
-    }
+  // Every node, not only the ones just touched: a column written outside
+  // Refresh() would leave some other node stale.
+  if (!TreeConsistent()) {
+    DEFL_LOG(kError) << "fleet view max-tree drifted from its children";
+    std::abort();
   }
 #endif
 }

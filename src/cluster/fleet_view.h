@@ -20,17 +20,19 @@
 // scans read only the flat arrays, never the Server objects, so shard
 // workers touch no lazily-refreshing caches through this path.
 //
-// Block summaries (DESIGN.md §12): rows are grouped into fixed 64-row
-// blocks by row id, and each block keeps, per availability mode and
-// dimension, the maximum of the exact double the scan tests for that row
-// (free, free + deflatable, or free + preemptible), with a count of the rows
-// attaining it. Refresh() folds each refreshed row into its block's maxima,
-// and recomputes the block once, after its dirty rows, when the last row
-// holding a maximum fell. Rounding is monotone, so a demand that exceeds a
-// block's maximum plus the scan's epsilon in any dimension fits no row of
-// the block, and the scan skips it without changing any outcome. A block
-// holding a NaN availability (which the per-row test treats as feasible)
-// has NaN maxima and is never skipped.
+// Max-tree (DESIGN.md §12): a binary tree over the rows by row id. A
+// level-l node covers rows [j * 2^l, (j + 1) * 2^l) and keeps, per
+// availability mode and dimension, the maximum of the exact double the scan
+// tests for those rows (free, free + deflatable, or free + preemptible),
+// normalised with + 0.0 so -0.0 never appears. The max propagates NaN per
+// dimension (the per-row test treats a NaN availability as feasible). After
+// a row is refreshed its ancestors are recomputed from their two children,
+// stopping at the first one whose values are bitwise unchanged; a bulk
+// refresh rebuilds the tree bottom-up once. Rounding is monotone, so a
+// demand that exceeds a node's maximum plus the scan's epsilon in any
+// dimension fits no row under it, and the scan skips those rows without
+// changing any outcome. Level kBlockLevel is the 64-row block the scan tests
+// first; it climbs from there while the parent fails too.
 //
 // Snapshots never serialize a FleetView: it is derived state, rebuilt from
 // the restored object graph (all rows start dirty), so the snapshot format
@@ -57,7 +59,7 @@ namespace defl {
 enum class AvailabilityMode { kFreeOnly, kFreePlusDeflatable, kFreePlusPreemptible };
 inline constexpr int kNumAvailabilityModes = 3;
 
-// Per-dimension maxima of one block's availability under one mode.
+// Per-dimension maxima of one max-tree node's availability under one mode.
 using BlockMax = std::array<double, kNumResources>;
 
 // One mirrored row materialized back into vectors, for tests and checks.
@@ -71,9 +73,11 @@ struct FleetEntry {
 
 class FleetView : public ServerObserver {
  public:
-  // Rows per block summary; block b covers rows [b * kBlockRows,
-  // (b + 1) * kBlockRows), the last block possibly fewer.
-  static constexpr size_t kBlockRows = 64;
+  // The tree level the scan tests first: block b is the level-kBlockLevel
+  // node covering rows [b * kBlockRows, (b + 1) * kBlockRows), the last
+  // block possibly fewer.
+  static constexpr int kBlockLevel = 6;
+  static constexpr size_t kBlockRows = size_t{1} << kBlockLevel;
 
   FleetView() = default;
   ~FleetView() override;
@@ -108,9 +112,9 @@ class FleetView : public ServerObserver {
   bool eligible(size_t row) const { return eligible_[row] != 0; }
 
   // Re-reads every dirty row from its Server in ascending row order,
-  // brings the summaries of the blocks those rows fall in up to date, then
-  // clears the dirty set. O(1) when nothing is dirty. Must run on the
-  // coordinator thread before any scan consumes the columns.
+  // brings the max-tree above those rows up to date, then clears the dirty
+  // set. O(1) when nothing is dirty. Must run on the coordinator thread
+  // before any scan consumes the columns.
   void Refresh();
 
   // Column base pointers for the flat placement scans (valid after Bind;
@@ -128,11 +132,17 @@ class FleetView : public ServerObserver {
     return nominal_[static_cast<size_t>(k)].data();
   }
 
-  // Block summaries under `mode`, indexed by block (row / kBlockRows);
-  // num_blocks() entries, coherent after Refresh().
+  // The max-tree under `mode`: level_max(mode, l)[j] is node j of level l,
+  // for 1 <= l <= top_level(); level l has (size() + 2^l - 1) >> l nodes.
+  // Coherent after Refresh().
+  int top_level() const { return top_level_; }
+  const BlockMax* level_max(AvailabilityMode mode, int level) const {
+    return tree_[static_cast<size_t>(mode)].data() + level_offset_[level];
+  }
+  // The level-kBlockLevel nodes, indexed by block (row / kBlockRows).
   size_t num_blocks() const { return (count_ + kBlockRows - 1) / kBlockRows; }
   const BlockMax* block_max(AvailabilityMode mode) const {
-    return block_max_[static_cast<size_t>(mode)].data();
+    return level_max(mode, kBlockLevel);
   }
 
   // Row materialized back into vectors (no refresh; callers wanting
@@ -143,33 +153,35 @@ class FleetView : public ServerObserver {
   // server's accessors right now. Property tests call this after Refresh().
   bool RowConsistent(size_t row) const;
 
-  // True when block `block`'s summary equals a full recompute from the
-  // columns (maxima bitwise, holder counts exactly). Refresh() checks every
-  // block with it in DEFL_CHECK_ACCOUNTING builds.
-  bool BlockConsistent(size_t block) const;
+  // True when every max-tree node equals (bitwise) the NaN-propagating max
+  // of its children, the level-1 nodes read from the columns. Refresh()
+  // checks it in DEFL_CHECK_ACCOUNTING builds.
+  bool TreeConsistent() const;
 
  private:
-  void RefreshRow(size_t row);
-  // How many of a block's rows attain each of its maxima under one mode, so
-  // a refresh can tell when the last row holding a maximum fell below it.
-  using BlockHolders = std::array<uint8_t, kNumResources>;
-  struct BlockSummary {
-    // The largest availability per mode and dimension, -0.0 normalized to
-    // +0.0 so the bits do not depend on fold order; all NaN when any of the
-    // block's availabilities is NaN (and then no holders).
-    BlockMax max[kNumAvailabilityModes];
-    BlockHolders holders[kNumAvailabilityModes];
+  // One node's maxima under every mode.
+  struct NodeMax {
+    BlockMax mode[kNumAvailabilityModes];
   };
 
-  // Full recompute of block `block`'s summary from the columns.
-  BlockSummary ComputeBlockSummary(size_t block) const;
-  void RefreshBlock(size_t block);
-  // Row `row`'s availability under every mode, as the scan computes it.
-  void ReadAvailability(size_t row, BlockMax (&out)[kNumAvailabilityModes]) const;
-  // Folds row `row`'s refresh (from availabilities `before`) into its
-  // block's summary in place. Returns false, leaving the block to be
-  // recomputed, when that cannot be done exactly.
-  bool FoldRowIntoBlock(size_t row, const BlockMax (&before)[kNumAvailabilityModes]);
+  void RefreshRow(size_t row);
+  // Row `row`'s availability under every mode, as the scan computes it,
+  // normalised with + 0.0 (a level-0 node).
+  NodeMax ReadAvailability(size_t row) const;
+  NodeMax StoredNode(int level, size_t node) const;
+  void StoreNode(int level, size_t node, const NodeMax& value);
+  // Node `node` of level `level` recomputed from its children.
+  NodeMax ComputeNode(int level, size_t node) const;
+  // True when the stored node is bitwise `fresh`.
+  bool NodeCurrent(int level, size_t node, const NodeMax& fresh) const;
+  // Recomputes the ancestors of a refreshed row, bottom-up, until one is
+  // unchanged.
+  void UpdateAncestors(size_t row);
+  void RebuildTree();
+  // Nodes at `level`; level 0 is the rows.
+  size_t LevelSize(int level) const {
+    return (count_ + (size_t{1} << level) - 1) >> level;
+  }
 
   const std::vector<std::unique_ptr<Server>>* servers_ = nullptr;
   size_t count_ = 0;
@@ -180,9 +192,12 @@ class FleetView : public ServerObserver {
   std::array<std::vector<double>, kNumResources> preemptible_;
   std::array<std::vector<double>, kNumResources> nominal_;
   std::vector<uint8_t> eligible_;
-  // One BlockMax and one BlockHolders per block, per availability mode.
-  std::array<std::vector<BlockMax>, kNumAvailabilityModes> block_max_;
-  std::array<std::vector<BlockHolders>, kNumAvailabilityModes> block_holders_;
+  // Per availability mode, levels 1..top_level_ of the max-tree, each level
+  // contiguous; level l starts at level_offset_[l] (level_offset_[0] is
+  // unused: level 0 is the rows, read from the columns).
+  int top_level_ = kBlockLevel;
+  std::vector<size_t> level_offset_;
+  std::array<std::vector<BlockMax>, kNumAvailabilityModes> tree_;
 
   // Dirty tracking: a bitmap for O(1) dedup plus an insertion-order list of
   // dirty rows. Refresh() sorts the list (or sweeps the bitmap when most

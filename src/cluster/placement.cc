@@ -117,18 +117,22 @@ std::vector<ChunkScan>& ChunkScratch(size_t chunks) {
 // --- Structure-of-arrays scan (FleetView) ---
 
 // The two column sets whose elementwise sum is a row's availability under
-// one mode, plus that mode's block summaries. `extra` is null for kFreeOnly;
-// the scan loop is specialized on that so the common path stays branch-free
-// per candidate.
+// one mode, plus that mode's max-tree. `extra` is null for kFreeOnly; the
+// scan loop is specialized on that so the common path stays branch-free per
+// candidate.
 struct FleetCols {
   const double* base[kNumResources];
   const double* extra[kNumResources];
   const BlockMax* block_max;
+  const FleetView* fleet;
+  AvailabilityMode mode;
 };
 
 FleetCols ModeColumns(const FleetView& fleet, AvailabilityMode mode) {
   FleetCols cols;
   cols.block_max = fleet.block_max(mode);
+  cols.fleet = &fleet;
+  cols.mode = mode;
   for (const ResourceKind kind : kAllResources) {
     const auto k = static_cast<size_t>(kind);
     cols.base[k] = fleet.free_col(kind);
@@ -157,15 +161,26 @@ FleetCols ModeColumns(const FleetView& fleet, AvailabilityMode mode) {
 // and the compiler can vectorize the per-dimension math.
 //
 // Before the rows of a block, the demand is tested against the block's
-// summary with the same compare. A block the demand exceeds in any dimension
-// holds no feasible row (fl(a + eps) <= fl(max + eps) for every a <= max,
-// because rounding is monotone), so the run of candidates in that block is
-// skipped. The rows that are visited see exactly the operations above.
+// max-tree node with the same compare. A node the demand exceeds in any
+// dimension holds no feasible row (fl(a + eps) <= fl(max + eps) for every
+// a <= max, because rounding is monotone), so the scan climbs to the largest
+// infeasible ancestor that starts at or before this block's run and skips the
+// candidates under it. The rows that are visited see exactly the operations
+// above.
+constexpr double kEps = 1e-9;  // matches ResourceVector::AllLeq's default
+
+bool NodeFeasible(const double (&d)[kNumResources], const BlockMax& max) {
+  bool feasible = true;
+  for (int k = 0; k < kNumResources; ++k) {
+    feasible &= !(d[k] > max[k] + kEps);
+  }
+  return feasible;
+}
+
 template <bool kHasExtra>
 ChunkScan ScanFleetRangeImpl(const FleetCols& cols, const double (&d)[kNumResources],
                              double demand_norm, const std::vector<uint32_t>& candidates,
                              bool need_fitness, size_t begin, size_t end) {
-  constexpr double kEps = 1e-9;  // matches ResourceVector::AllLeq's default
   ChunkScan out;
   constexpr auto kBlockRows = static_cast<uint32_t>(FleetView::kBlockRows);
   uint32_t checked_block = UINT32_MAX;
@@ -174,23 +189,29 @@ ChunkScan ScanFleetRangeImpl(const FleetCols& cols, const double (&d)[kNumResour
     const uint32_t block = row / kBlockRows;
     if (block != checked_block) {
       checked_block = block;
-      const BlockMax& max = cols.block_max[block];
-      bool block_feasible = true;
-      for (int k = 0; k < kNumResources; ++k) {
-        block_feasible &= !(d[k] > max[k] + kEps);
-      }
-      if (!block_feasible) {
-        // Skip to the last candidate in this block. Candidates ascend
-        // strictly, so the block's run ends within block_end - row
-        // positions of i; when the last of those is still in the block, so
-        // is every one before it (the usual case: no excluded row).
-        const uint32_t block_end = (block + 1) * kBlockRows;
-        const size_t span_end = std::min<size_t>(end, i + (block_end - row));
+      if (!NodeFeasible(d, cols.block_max[block])) {
+        // Climb while the node is a left child and its parent is infeasible
+        // too: the parent's rows then run past this node's. A right child's
+        // parent ends where it does, so the climb stops there.
+        int level = FleetView::kBlockLevel;
+        size_t node = block;
+        while (node % 2 == 0 && level < cols.fleet->top_level() &&
+               !NodeFeasible(d, cols.fleet->level_max(cols.mode, level + 1)[node / 2])) {
+          ++level;
+          node /= 2;
+        }
+        // Skip to the last candidate under the node. Candidates ascend
+        // strictly, so the node's run ends within node_end - row positions
+        // of i; when the last of those is still under the node, so is every
+        // one before it (the usual case: no excluded row).
+        const uint64_t node_end = (uint64_t{node} + 1) << level;
+        const size_t span_end =
+            static_cast<size_t>(std::min<uint64_t>(end, i + (node_end - row)));
         const auto first = candidates.begin() + static_cast<std::ptrdiff_t>(i);
         const auto last = candidates.begin() + static_cast<std::ptrdiff_t>(span_end);
-        i = candidates[span_end - 1] < block_end
+        i = candidates[span_end - 1] < node_end
                 ? span_end - 1
-                : static_cast<size_t>(std::lower_bound(first, last, block_end) -
+                : static_cast<size_t>(std::lower_bound(first, last, node_end) -
                                       candidates.begin()) - 1;
         continue;
       }

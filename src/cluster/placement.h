@@ -48,8 +48,8 @@ ResourceVector FleetAvailability(const FleetView& fleet, size_t row,
 // first (O(1) when clean), so the decision -- feasibility, fitness, every
 // tie-break, and the 2-choices RNG draw sequence -- is bit-identical to
 // PlaceVm over the equivalent Server list. Full scans test each 64-row
-// block's summary before its rows and skip blocks the demand exceeds; the
-// skip is exact, so it changes no decision. The sharded scan chunks
+// block's max-tree node before its rows and skip the largest enclosing node
+// the demand exceeds; the skip is exact, so it changes no decision. The sharded scan chunks
 // candidate index ranges; workers read only the contiguous columns, never
 // the Server objects.
 Result<size_t> PlaceVmFleet(const ResourceVector& demand, FleetView& fleet,

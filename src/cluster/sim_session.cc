@@ -379,11 +379,9 @@ struct SimSession::State {
         break;
       }
       case SimEventKind::kVmCompletion:
-        // The VM may have been preempted in the meantime; completing a
-        // missing VM is a no-op.
-        if (manager->FindVm(entry.payload) != nullptr) {
-          manager->CompleteVm(entry.payload);
-        }
+        // The VM may have been preempted in the meantime; CompleteVm of a
+        // missing VM is a no-op, so it needs no lookup first.
+        manager->CompleteVm(entry.payload);
         break;
       case SimEventKind::kSampleTick:
         SampleTick();

@@ -95,10 +95,11 @@ ServerAccounting Server::RecomputeAccounting() const {
   // this cache replaced (placement output must not shift by even one ulp).
   ServerAccounting out;
   for (const auto& vm : vms_) {
-    out.allocated += vm->effective();
-    out.deflatable += vm->deflatable_amount();
+    const ResourceVector effective = vm->effective();
+    out.allocated += effective;
+    out.deflatable += vm->deflatable_amount(effective);
     if (vm->priority() == VmPriority::kLow) {
-      out.preemptible += vm->effective();
+      out.preemptible += effective;
     }
     out.nominal += vm->size();
   }

@@ -49,10 +49,14 @@ ResourceVector Vm::effective() const {
 }
 
 ResourceVector Vm::deflatable_amount() const {
+  return deflatable() ? deflatable_amount(effective()) : ResourceVector::Zero();
+}
+
+ResourceVector Vm::deflatable_amount(const ResourceVector& effective) const {
   if (!deflatable()) {
     return ResourceVector::Zero();
   }
-  return (effective() - spec_.min_size).ClampNonNegative();
+  return (effective - spec_.min_size).ClampNonNegative();
 }
 
 double Vm::DeflationFraction(ResourceKind kind) const {

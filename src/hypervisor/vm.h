@@ -100,6 +100,9 @@ class Vm : public AllocationListener {
   ResourceVector effective() const;
   // Resources still reclaimable before hitting min_size (zero for high-pri).
   ResourceVector deflatable_amount() const;
+  // The same, given this VM's effective() already computed: a caller that
+  // needs both pays for effective() once.
+  ResourceVector deflatable_amount(const ResourceVector& effective) const;
   // Per-resource deflation fraction: 1 - effective/spec, in [0, 1].
   double DeflationFraction(ResourceKind kind) const;
   // max over resources of DeflationFraction -- the "d" of Section 4.1.

@@ -6,18 +6,6 @@
 
 namespace defl {
 
-ResourceVector ResourceVector::operator+(const ResourceVector& o) const {
-  ResourceVector r = *this;
-  r += o;
-  return r;
-}
-
-ResourceVector ResourceVector::operator-(const ResourceVector& o) const {
-  ResourceVector r = *this;
-  r -= o;
-  return r;
-}
-
 ResourceVector ResourceVector::operator*(double s) const {
   ResourceVector r;
   for (size_t i = 0; i < v_.size(); ++i) {
@@ -27,40 +15,6 @@ ResourceVector ResourceVector::operator*(double s) const {
 }
 
 ResourceVector ResourceVector::operator/(double s) const { return *this * (1.0 / s); }
-
-ResourceVector& ResourceVector::operator+=(const ResourceVector& o) {
-  for (size_t i = 0; i < v_.size(); ++i) {
-    v_[i] += o.v_[i];
-  }
-  return *this;
-}
-
-ResourceVector& ResourceVector::operator-=(const ResourceVector& o) {
-  for (size_t i = 0; i < v_.size(); ++i) {
-    v_[i] -= o.v_[i];
-  }
-  return *this;
-}
-
-ResourceVector ResourceVector::Min(const ResourceVector& o) const {
-  ResourceVector r;
-  for (size_t i = 0; i < v_.size(); ++i) {
-    r.v_[i] = std::min(v_[i], o.v_[i]);
-  }
-  return r;
-}
-
-ResourceVector ResourceVector::Max(const ResourceVector& o) const {
-  ResourceVector r;
-  for (size_t i = 0; i < v_.size(); ++i) {
-    r.v_[i] = std::max(v_[i], o.v_[i]);
-  }
-  return r;
-}
-
-ResourceVector ResourceVector::ClampNonNegative() const {
-  return Max(ResourceVector::Zero());
-}
 
 ResourceVector ResourceVector::Scale(const ResourceVector& fractions) const {
   ResourceVector r;
@@ -76,15 +30,6 @@ ResourceVector ResourceVector::SafeDivide(const ResourceVector& o) const {
     r.v_[i] = o.v_[i] != 0.0 ? v_[i] / o.v_[i] : 0.0;
   }
   return r;
-}
-
-bool ResourceVector::AllLeq(const ResourceVector& o, double eps) const {
-  for (size_t i = 0; i < v_.size(); ++i) {
-    if (v_[i] > o.v_[i] + eps) {
-      return false;
-    }
-  }
-  return true;
 }
 
 bool ResourceVector::AnyPositive(double eps) const {

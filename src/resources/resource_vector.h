@@ -5,6 +5,7 @@
 #ifndef SRC_RESOURCES_RESOURCE_VECTOR_H_
 #define SRC_RESOURCES_RESOURCE_VECTOR_H_
 
+#include <algorithm>
 #include <array>
 #include <cstddef>
 #include <string>
@@ -52,26 +53,68 @@ class ResourceVector {
   double operator[](ResourceKind kind) const { return v_[static_cast<size_t>(kind)]; }
   double& operator[](ResourceKind kind) { return v_[static_cast<size_t>(kind)]; }
 
-  ResourceVector operator+(const ResourceVector& o) const;
-  ResourceVector operator-(const ResourceVector& o) const;
+  // The elementwise arithmetic below is inline: the per-VM accounting folds
+  // call it hundreds of millions of times per run. Each result is one IEEE
+  // operation per dimension, so inlining changes no bits as long as no fused
+  // multiply-add is formed (the library builds with -ffp-contract=off).
+  ResourceVector operator+(const ResourceVector& o) const {
+    ResourceVector r = *this;
+    r += o;
+    return r;
+  }
+  ResourceVector operator-(const ResourceVector& o) const {
+    ResourceVector r = *this;
+    r -= o;
+    return r;
+  }
   ResourceVector operator*(double s) const;
   ResourceVector operator/(double s) const;
-  ResourceVector& operator+=(const ResourceVector& o);
-  ResourceVector& operator-=(const ResourceVector& o);
+  ResourceVector& operator+=(const ResourceVector& o) {
+    for (size_t i = 0; i < v_.size(); ++i) {
+      v_[i] += o.v_[i];
+    }
+    return *this;
+  }
+  ResourceVector& operator-=(const ResourceVector& o) {
+    for (size_t i = 0; i < v_.size(); ++i) {
+      v_[i] -= o.v_[i];
+    }
+    return *this;
+  }
   bool operator==(const ResourceVector& o) const = default;
 
-  // Element-wise operations.
-  ResourceVector Min(const ResourceVector& o) const;
-  ResourceVector Max(const ResourceVector& o) const;
+  // Element-wise operations. std::min/std::max, not a hand-written
+  // ternary: which operand wins a tie decides the sign of a zero result.
+  ResourceVector Min(const ResourceVector& o) const {
+    ResourceVector r;
+    for (size_t i = 0; i < v_.size(); ++i) {
+      r.v_[i] = std::min(v_[i], o.v_[i]);
+    }
+    return r;
+  }
+  ResourceVector Max(const ResourceVector& o) const {
+    ResourceVector r;
+    for (size_t i = 0; i < v_.size(); ++i) {
+      r.v_[i] = std::max(v_[i], o.v_[i]);
+    }
+    return r;
+  }
   // Clamps every dimension to be >= 0.
-  ResourceVector ClampNonNegative() const;
+  ResourceVector ClampNonNegative() const { return Max(ResourceVector::Zero()); }
   // Element-wise multiply (e.g. scaling a spec by per-dimension fractions).
   ResourceVector Scale(const ResourceVector& fractions) const;
   // Element-wise divide; dimensions where `o` is 0 yield 0.
   ResourceVector SafeDivide(const ResourceVector& o) const;
 
   // True if every dimension of this is <= the corresponding dim of o + eps.
-  bool AllLeq(const ResourceVector& o, double eps = 1e-9) const;
+  bool AllLeq(const ResourceVector& o, double eps = 1e-9) const {
+    for (size_t i = 0; i < v_.size(); ++i) {
+      if (v_[i] > o.v_[i] + eps) {
+        return false;
+      }
+    }
+    return true;
+  }
   // True if any dimension exceeds eps.
   bool AnyPositive(double eps = 1e-9) const;
   bool IsZero(double eps = 1e-9) const { return !AnyPositive(eps); }

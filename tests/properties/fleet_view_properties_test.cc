@@ -3,16 +3,19 @@
 // or preempt under pressure), completions, explicit deflations, reinflations,
 // crashes, recoveries -- a Refresh()ed FleetView row must be EXACTLY equal
 // (bitwise, not approximately) to the owning server's accessors, every
-// 64-row block summary must be bitwise equal to a from-scratch recompute,
-// and the SoA placement scan (PlaceVmFleet, which skips blocks by their
-// summaries) must return the same decision as both the object-graph scan
-// (PlaceVm) and a sequential, unsummarised reference scan kept here, for
-// every policy and availability mode, including the 2-choices RNG draw
-// sequence. Candidates are the eligible rows, so crashes make them a proper
-// subset. Fleets of 5 rows, 1 row and 130 rows (two full blocks plus a
-// ragged one) run the whole sequence at thread counts {1, 2, 7}: the sharded
-// SoA scans must be invisible in the outcome. Seeded from DEFL_FAULT_SEED so
-// CI can run a seed matrix.
+// max-tree node must equal a from-scratch recompute over the rows it covers
+// (per-dimension maxima, NaN in a dimension where any row is NaN), and the
+// SoA placement scan (PlaceVmFleet, which skips tree nodes by their maxima)
+// must return the same decision as both the object-graph scan (PlaceVm) and
+// a sequential, unsummarised reference scan kept here, for every policy and
+// availability mode, including the 2-choices RNG draw sequence. Candidates
+// are the eligible rows, so crashes make them a proper subset. Fleets of 5
+// rows, 1 row and 130 rows (two full blocks plus a ragged one) run the whole
+// sequence at thread counts {1, 2, 7}: the sharded SoA scans must be
+// invisible in the outcome. Fleets of more than 4096 rows check that
+// saturated scans climbing past whole level >= 7 nodes, across candidate
+// gaps, still agree with the reference at 1 and 3 threads. Seeded from
+// DEFL_FAULT_SEED so CI can run a seed matrix.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -23,6 +26,7 @@
 #include <limits>
 #include <string>
 #include <unordered_set>
+#include <utility>
 #include <vector>
 
 #include "src/cluster/cluster_manager.h"
@@ -78,46 +82,55 @@ std::vector<uint32_t> EligibleRows(const FleetView& fleet) {
   return rows;
 }
 
-// From-scratch block summary: per dimension, the largest availability over
-// the block's rows with a zero maximum as +0.0; all NaN when any of the
-// block's availabilities, under any mode, is NaN.
-BlockMax RecomputeBlockMax(const FleetView& fleet, size_t block, AvailabilityMode mode) {
+// From-scratch max-tree node: per dimension, the largest availability over
+// the rows [begin, end) under `mode`, a zero maximum as +0.0, and NaN when
+// any of those rows' availabilities in that dimension is NaN.
+BlockMax RecomputeNodeMax(const FleetView& fleet, size_t begin, size_t end,
+                          AvailabilityMode mode) {
   BlockMax out;
   out.fill(-std::numeric_limits<double>::infinity());
-  bool has_nan = false;
-  const size_t begin = block * FleetView::kBlockRows;
-  const size_t end = std::min(begin + FleetView::kBlockRows, fleet.size());
+  std::array<bool, kNumResources> has_nan{};
   for (size_t row = begin; row < end; ++row) {
-    for (const AvailabilityMode any_mode : kModes) {
-      const ResourceVector availability = FleetAvailability(fleet, row, any_mode);
-      for (const ResourceKind kind : kAllResources) {
-        has_nan |= std::isnan(availability[kind]);
-        if (any_mode == mode) {
-          double& max = out[static_cast<size_t>(kind)];
-          max = std::max(max, availability[kind]);
-        }
-      }
+    const ResourceVector availability = FleetAvailability(fleet, row, mode);
+    for (const ResourceKind kind : kAllResources) {
+      const auto k = static_cast<size_t>(kind);
+      has_nan[k] = has_nan[k] || std::isnan(availability[kind]);
+      out[k] = std::max(out[k], availability[kind]);
     }
   }
-  for (double& max : out) {
-    max = has_nan ? std::numeric_limits<double>::quiet_NaN() : max + 0.0;
+  for (size_t k = 0; k < kNumResources; ++k) {
+    out[k] = has_nan[k] ? std::numeric_limits<double>::quiet_NaN() : out[k] + 0.0;
   }
   return out;
 }
 
-void ExpectBlocksExact(const FleetView& fleet) {
+// Every node of every level, against a recompute from the rows it covers
+// (NaN matched by class, every other value bitwise).
+void ExpectTreeExact(const FleetView& fleet) {
+  EXPECT_TRUE(fleet.TreeConsistent());
+  ASSERT_GE(fleet.top_level(), FleetView::kBlockLevel);
+  ASSERT_LE(fleet.size(), size_t{1} << fleet.top_level());
   ASSERT_EQ(fleet.num_blocks(),
             (fleet.size() + FleetView::kBlockRows - 1) / FleetView::kBlockRows);
-  for (size_t block = 0; block < fleet.num_blocks(); ++block) {
-    EXPECT_TRUE(fleet.BlockConsistent(block)) << "block " << block;
-    for (const AvailabilityMode mode : kModes) {
-      const BlockMax expected = RecomputeBlockMax(fleet, block, mode);
-      const BlockMax& actual = fleet.block_max(mode)[block];
-      for (size_t k = 0; k < kNumResources; ++k) {
-        EXPECT_EQ(std::bit_cast<uint64_t>(expected[k]),
-                  std::bit_cast<uint64_t>(actual[k]))
-            << "block " << block << " mode " << static_cast<int>(mode) << " dim " << k
-            << ": " << expected[k] << " vs " << actual[k];
+  for (int level = 1; level <= fleet.top_level(); ++level) {
+    const size_t width = size_t{1} << level;
+    for (size_t node = 0; node * width < std::max<size_t>(fleet.size(), 1); ++node) {
+      const size_t begin = node * width;
+      const size_t end = std::min(begin + width, fleet.size());
+      for (const AvailabilityMode mode : kModes) {
+        const BlockMax expected = RecomputeNodeMax(fleet, begin, end, mode);
+        const BlockMax& actual = fleet.level_max(mode, level)[node];
+        for (size_t k = 0; k < kNumResources; ++k) {
+          if (std::isnan(expected[k])) {
+            EXPECT_TRUE(std::isnan(actual[k]));
+            continue;
+          }
+          EXPECT_EQ(std::bit_cast<uint64_t>(expected[k]),
+                    std::bit_cast<uint64_t>(actual[k]))
+              << "level " << level << " node " << node << " mode "
+              << static_cast<int>(mode) << " dim " << k << ": " << expected[k]
+              << " vs " << actual[k];
+        }
       }
     }
   }
@@ -218,7 +231,7 @@ void ExpectScanEquivalent(ClusterManager& manager, const ResourceVector& demand,
   }
 }
 
-// A demand sitting on a block's summary in one dimension -- the maximum
+// A demand sitting on a block's maximum in one dimension -- the maximum
 // itself, or the maximum plus up to the scan epsilon -- and zero elsewhere
 // fits the row that holds that maximum, so the block must not be skipped:
 // first-fit over all eligible rows hits at or before that block.
@@ -235,7 +248,7 @@ void ExpectBoundaryBlockNotSkipped(ClusterManager& manager,
   const size_t end = std::min(begin + FleetView::kBlockRows, fleet.size());
   if (std::none_of(rows.begin(), rows.end(),
                    [&](uint32_t row) { return row >= begin && row < end; })) {
-    return;  // every row of the block crashed: its summary is not a bound
+    return;  // every row of the block crashed: its maximum is not a bound
   }
   ResourceVector demand;
   demand[kAllResources[k]] = fleet.block_max(mode)[block][k] + offset;
@@ -258,7 +271,7 @@ void ExpectBoundaryBlockNotSkipped(ClusterManager& manager,
 }
 
 // Drives `ops` random operations (after `prefill` plain launches) against a
-// fleet of `num_servers` rows, checking the mirror, the block summaries and
+// fleet of `num_servers` rows, checking the mirror, the max-tree and
 // every scan after each one.
 void RunRandomOps(int param, int num_servers, int prefill, int ops) {
   const uint64_t seed = TestSeed() + static_cast<uint64_t>(param) * 7919;
@@ -321,7 +334,7 @@ void RunRandomOps(int param, int num_servers, int prefill, int ops) {
     std::erase_if(live, [&manager](VmId id) { return manager.FindVm(id) == nullptr; });
 
     ExpectMirrorExact(manager);
-    ExpectBlocksExact(manager.fleet());
+    ExpectTreeExact(manager.fleet());
     const std::vector<uint32_t> rows = EligibleRows(manager.fleet());
     if (!rows.empty()) {
       const ResourceVector demand(static_cast<double>(rng.UniformInt(1, 12)),
@@ -352,6 +365,169 @@ TEST_P(FleetViewPropertyTest, RaggedMultiBlockFleetKeepsSummariesExact) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Sweep, FleetViewPropertyTest, ::testing::Range(0, 12));
+
+// A saturated fleet of more than 4096 rows, built from Servers directly (a
+// ClusterManager's random walk would not keep it saturated). Every server has
+// 16 cores: a high-priority VM leaves it `spare` free cores (0, 0.5 or 1) and
+// a low-priority 2-core VM can give one core back, so a 4-core demand misses
+// under every mode except on the `open` rows, whose high-priority VM is
+// smaller. Row `nan_row` (if any) has a NaN core capacity, which the per-row
+// test treats as feasible.
+struct SaturatedFleet {
+  std::vector<std::unique_ptr<Server>> servers;
+  FleetView fleet;  // after servers: detaches itself before they go
+
+  SaturatedFleet(int n, const std::vector<int>& open, int nan_row, Rng& rng) {
+    for (int i = 0; i < n; ++i) {
+      const double cores = i == nan_row ? std::nan("") : 16.0;
+      servers.push_back(std::make_unique<Server>(i, ResourceVector(cores, 65536.0)));
+      const bool is_open = std::find(open.begin(), open.end(), i) != open.end();
+      const double spare = is_open ? 8.0 : 0.5 * static_cast<double>(rng.UniformInt(0, 2));
+      AddVm(i, 0, 14.0 - spare, VmPriority::kHigh);
+      AddVm(i, 1, 2.0, VmPriority::kLow);
+    }
+    fleet.Bind(servers);
+    fleet.Refresh();
+  }
+
+  void AddVm(int row, int slot, double cores, VmPriority priority) {
+    VmSpec spec;
+    spec.name = "r" + std::to_string(row) + "s" + std::to_string(slot);
+    spec.size = ResourceVector(cores, 16384.0);
+    spec.priority = priority;
+    spec.min_size = ResourceVector(cores / 2.0, 8192.0);
+    servers[static_cast<size_t>(row)]->AddVm(
+        std::make_unique<Vm>(static_cast<VmId>(row) * 4 + slot, spec));
+  }
+};
+
+// Rows [0, n) minus the half-open ranges in `gaps`.
+std::vector<uint32_t> RowsWithout(int n, const std::vector<std::pair<int, int>>& gaps) {
+  std::vector<uint32_t> rows;
+  for (int row = 0; row < n; ++row) {
+    const bool excluded = std::any_of(gaps.begin(), gaps.end(), [row](const auto& gap) {
+      return row >= gap.first && row < gap.second;
+    });
+    if (!excluded) {
+      rows.push_back(static_cast<uint32_t>(row));
+    }
+  }
+  return rows;
+}
+
+// PlaceVmFleet against the unsummarised reference for every policy and mode,
+// unsharded and on a 3-thread pool.
+void ExpectAgreesWithReference(FleetView& fleet, const ResourceVector& demand,
+                               const std::vector<uint32_t>& rows, ThreadPool& pool,
+                               Rng& rng) {
+  for (ThreadPool* p : {static_cast<ThreadPool*>(nullptr), &pool}) {
+    for (const PlacementPolicy policy : kPolicies) {
+      for (const AvailabilityMode mode : kModes) {
+        const std::array<uint64_t, 4> saved = rng.SaveState();
+        const size_t reference = ReferencePlace(demand, fleet, rows, policy, rng, mode);
+        rng.RestoreState(saved);
+        const Result<size_t> pick = PlaceVmFleet(demand, fleet, rows, policy, rng, mode, p);
+        EXPECT_EQ(pick.ok() ? pick.value() : SIZE_MAX, reference)
+            << PlacementPolicyName(policy) << " mode " << static_cast<int>(mode)
+            << " threads " << (p == nullptr ? 1 : 3) << " demand " << demand.ToString();
+      }
+    }
+  }
+}
+
+TEST(FleetViewTreeTest, SaturatedScanClimbsPastWholeNodesExactly) {
+  constexpr int kRows = 6000;  // top level 13; level 12 splits at row 4096
+  Rng rng(TestSeed());
+  SaturatedFleet fx(kRows, /*open=*/{70, 4100, kRows - 1}, /*nan_row=*/-1, rng);
+  ExpectTreeExact(fx.fleet);
+  ASSERT_EQ(fx.fleet.top_level(), 13);
+  const ResourceVector demand(4.0, 4096.0);
+  // Rows 2048-4095 (level 11, node 1) hold no open row: the scan skips that
+  // whole node, and for a demand no row fits, the whole tree.
+  for (const AvailabilityMode mode : kModes) {
+    EXPECT_LT(fx.fleet.level_max(mode, 11)[1][0], demand.cpu());
+    EXPECT_LT(fx.fleet.level_max(mode, 13)[0][0], 20.0);
+  }
+  ThreadPool pool(3);
+  const std::vector<std::vector<std::pair<int, int>>> gap_sets = {
+      {},
+      // Gaps across the block, level-11 and level-12 boundaries; the second
+      // drops open row 70.
+      {{60, 70}, {2040, 2060}, {4000, 4200}},
+      {{64, 71}, {4095, 4097}, {5990, kRows}},
+      {{0, 4100}},
+  };
+  for (const auto& gaps : gap_sets) {
+    const std::vector<uint32_t> rows = RowsWithout(kRows, gaps);
+    for (const ResourceVector& d :
+         {demand, ResourceVector(20.0, 4096.0), ResourceVector(2.5, 4096.0),
+          ResourceVector(1.0, 30000.0)}) {
+      ExpectAgreesWithReference(fx.fleet, d, rows, pool, rng);
+    }
+  }
+}
+
+TEST(FleetViewTreeTest, IncrementalRefreshKeepsLargeTreeExact) {
+  constexpr int kRows = 4200;
+  Rng rng(TestSeed() + 1);
+  SaturatedFleet fx(kRows, /*open=*/{4150}, /*nan_row=*/-1, rng);
+  ThreadPool pool(3);
+  for (int round = 0; round < 12; ++round) {
+    // A few rows open up (the low-priority VM leaves) or fill again: each
+    // incremental Refresh() walks only those rows' ancestors.
+    for (int change = 0; change < 3; ++change) {
+      const auto row = static_cast<int>(rng.UniformInt(0, kRows - 1));
+      Server& server = *fx.servers[static_cast<size_t>(row)];
+      if (server.FindVm(static_cast<VmId>(row) * 4 + 1) != nullptr) {
+        server.RemoveVm(static_cast<VmId>(row) * 4 + 1);
+        fx.AddVm(row, 2, rng.Uniform(0.0, 6.0), VmPriority::kLow);
+      } else {
+        server.RemoveVm(static_cast<VmId>(row) * 4 + 2);
+        fx.AddVm(row, 1, 2.0, VmPriority::kLow);
+      }
+    }
+    fx.fleet.Refresh();
+    ExpectTreeExact(fx.fleet);
+    // Random candidate gaps, each up to ~1.5 blocks of level 10.
+    std::vector<std::pair<int, int>> gaps;
+    for (int g = 0; g < 4; ++g) {
+      const auto start = static_cast<int>(rng.UniformInt(0, kRows - 1));
+      gaps.emplace_back(start, start + static_cast<int>(rng.UniformInt(1, 1500)));
+    }
+    const std::vector<uint32_t> rows = RowsWithout(kRows, gaps);
+    const ResourceVector demand(rng.Uniform(1.0, 8.0), 4096.0);
+    ExpectAgreesWithReference(fx.fleet, demand, rows, pool, rng);
+    if (::testing::Test::HasFailure()) {
+      FAIL() << "round " << round;
+    }
+  }
+}
+
+TEST(FleetViewTreeTest, NanRowDeepInLargeFleetIsFound) {
+  // Row 4500's NaN core count keeps its cpu maxima NaN up to the root, so a
+  // demand every other row misses still reaches it; the memory maxima stay
+  // numbers and still skip.
+  constexpr int kRows = 5000;
+  Rng rng(TestSeed() + 2);
+  SaturatedFleet fx(kRows, /*open=*/{}, /*nan_row=*/4500, rng);
+  ExpectTreeExact(fx.fleet);
+  EXPECT_TRUE(std::isnan(fx.fleet.level_max(AvailabilityMode::kFreeOnly, 13)[0][0]));
+  EXPECT_FALSE(std::isnan(fx.fleet.level_max(AvailabilityMode::kFreeOnly, 13)[0][1]));
+  ThreadPool pool(3);
+  const std::vector<uint32_t> rows = RowsWithout(kRows, {{4400, 4499}});
+  const ResourceVector demand(8.0, 4096.0);
+  ExpectAgreesWithReference(fx.fleet, demand, rows, pool, rng);
+  Rng draw(1);
+  const Result<size_t> pick = PlaceVmFleet(demand, fx.fleet, rows,
+                                           PlacementPolicy::kFirstFit, draw,
+                                           AvailabilityMode::kFreeOnly, &pool);
+  ASSERT_TRUE(pick.ok());
+  EXPECT_EQ(rows[pick.value()], 4500u);
+  EXPECT_FALSE(PlaceVmFleet(ResourceVector(8.0, 60000.0), fx.fleet, rows,
+                            PlacementPolicy::kFirstFit, draw,
+                            AvailabilityMode::kFreeOnly, &pool)
+                   .ok());
+}
 
 }  // namespace
 }  // namespace defl
